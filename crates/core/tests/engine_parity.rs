@@ -123,6 +123,174 @@ fn batched_admission_matches_per_command_issue() {
     }
 }
 
+/// A 2 000-operation 1080p30 frame at `clock_mhz` × `channels`: the bits of
+/// its core energy and core power, and each channel's device command
+/// counts as `[activates, reads, writes, precharges, refreshes,
+/// power-downs, self-refreshes]`.
+fn frame_fingerprint(clock_mhz: u64, channels: u32) -> (u64, u64, Vec<[u64; 7]>) {
+    let mut e = Experiment::paper(HdOperatingPoint::Hd1080p30, channels, clock_mhz);
+    e.op_limit = Some(2_000);
+    let f = e
+        .run_with(&RunOptions::default())
+        .unwrap()
+        .into_frame()
+        .unwrap();
+    let stats = f
+        .report
+        .channels
+        .iter()
+        .map(|c| {
+            let d = c.device;
+            [
+                d.activates,
+                d.reads,
+                d.writes,
+                d.precharges,
+                d.refreshes,
+                d.power_downs,
+                d.self_refreshes,
+            ]
+        })
+        .collect();
+    (
+        f.report.core_energy_pj.to_bits(),
+        f.power.core_mw.to_bits(),
+        stats,
+    )
+}
+
+/// A 3-frame steady session of 2 000-operation 1080p30 frames on 4
+/// channels at 266 MHz: the bits of its core power, its bytes and each
+/// frame's access time in picoseconds. A session result carries no
+/// per-channel device counts.
+fn session_fingerprint() -> (u64, u64, Vec<u64>) {
+    let mut e = Experiment::paper(HdOperatingPoint::Hd1080p30, 4, 266);
+    e.op_limit = Some(2_000);
+    let s = e
+        .run_with(&RunOptions::steady(3))
+        .unwrap()
+        .into_steady()
+        .unwrap();
+    (
+        s.power.core_mw.to_bits(),
+        s.bytes,
+        s.frames.iter().map(|f| f.access_time.as_ps()).collect(),
+    )
+}
+
+/// `(clock MHz, channels, core_energy_pj bits, core_mw bits, per-channel
+/// counts)` of [`frame_fingerprint`], one entry per paper clock × 1 and 8
+/// channels.
+type FramePin = (u64, u32, u64, u64, &'static [[u64; 7]]);
+
+/// Recorded by running [`frame_fingerprint`] and [`session_fingerprint`]
+/// on the commit before the idle tail's power-down/refresh periods were
+/// batched and `ClockDomain` gained its u64 path for clocks whose period is
+/// not a whole picosecond. The 266, 333 and 533 MHz rows cover that path;
+/// perfbench's pins cover only 400 MHz frames and the sweep export hash.
+const FRAME_PINS: [FramePin; 10] = [
+    (
+        200,
+        1,
+        0x4191020e67cccd5f,
+        0x40a19f9a5baff854,
+        &[[65, 0, 8000, 65, 4265, 4256, 0]],
+    ),
+    (
+        200,
+        8,
+        0x41c1020e67cccd5f,
+        0x40a19f9a5baff854,
+        &[[65, 0, 8000, 65, 4265, 4256, 0]; 8],
+    ),
+    (
+        266,
+        1,
+        0x419181337ac713a6,
+        0x40a2235932fb2056,
+        &[[63, 0, 8000, 63, 4264, 4257, 0]],
+    ),
+    (
+        266,
+        8,
+        0x41c181337ac713a7,
+        0x40a2235932fb2057,
+        &[[63, 0, 8000, 63, 4264, 4257, 0]; 8],
+    ),
+    (
+        333,
+        1,
+        0x4191f26726a8481f,
+        0x40a298a58392aad5,
+        &[[63, 0, 8000, 63, 4265, 4260, 0]],
+    ),
+    (
+        333,
+        8,
+        0x41c1f26726a8481f,
+        0x40a298a58392aad5,
+        &[[63, 0, 8000, 63, 4265, 4260, 0]; 8],
+    ),
+    (
+        400,
+        1,
+        0x41926349c2e665ac,
+        0x40a30d9dba3a0be4,
+        &[[63, 0, 8000, 63, 4266, 4262, 0]],
+    ),
+    (
+        400,
+        8,
+        0x41c26349c2e665ac,
+        0x40a30d9dba3a0be4,
+        &[[63, 0, 8000, 63, 4266, 4262, 0]; 8],
+    ),
+    (
+        533,
+        1,
+        0x419351e49d48c64f,
+        0x40a404dad6308f93,
+        &[[63, 0, 8000, 63, 4265, 4262, 0]],
+    ),
+    (
+        533,
+        8,
+        0x41c351e49d48c64f,
+        0x40a404dad6308f93,
+        &[[63, 0, 8000, 63, 4265, 4262, 0]; 8],
+    ),
+];
+
+/// The same recording for [`session_fingerprint`]: core power bits, bytes
+/// and per-frame access times.
+const SESSION_PIN: (u64, u64, [u64; 3]) = (
+    0x40219f5cb738b893,
+    1_536_000,
+    [61_763_158, 61_770_677, 61_770_677],
+);
+
+/// Op-limited frames spend most of their horizon in the power-down/refresh
+/// idle tail; their energy, power and command counts must not move by a
+/// single bit at any paper clock.
+#[test]
+fn idle_tail_results_match_the_recorded_bits() {
+    for (clock, channels, energy, mw, stats) in FRAME_PINS {
+        let (e, p, s) = frame_fingerprint(clock, channels);
+        assert_eq!(
+            (e, p),
+            (energy, mw),
+            "{clock} MHz x{channels}: core energy/power bits {e:#018x}/{p:#018x}"
+        );
+        assert_eq!(s, stats, "{clock} MHz x{channels}: device command counts");
+    }
+    let (mw, bytes, frames) = session_fingerprint();
+    assert_eq!(
+        (mw, bytes, frames.as_slice()),
+        (SESSION_PIN.0, SESSION_PIN.1, SESSION_PIN.2.as_slice()),
+        "steady session: core power bits {mw:#018x}"
+    );
+}
+
 /// Per-channel parallel execution must be bit-identical to serial at any
 /// thread count: same `FrameResult` (every field, including every f64 bit
 /// pattern — channels couple only through `max(done_cycle)` and the merge

@@ -338,6 +338,15 @@ impl Controller {
         // measures how long the *master* has been quiet.
         let idle_start = self.busy_until;
         let mut idle_since = self.busy_until.max(self.idle_handled_to);
+        // Under a plain power-down policy with refresh on and nothing
+        // observing, whole power-down/refresh periods go to the device in
+        // one run; everything else takes the per-command loop below.
+        let run_pd_after = match self.power_down {
+            PowerDownPolicy::AfterIdleCycles(th) if self.refresh_enabled && self.obs.is_none() => {
+                Some(th)
+            }
+            _ => None,
+        };
         loop {
             let in_sr = self.device.is_self_refreshing();
             let pd_at = match self.power_down.threshold() {
@@ -357,6 +366,22 @@ impl Controller {
             } else {
                 u64::MAX
             };
+            if let Some(pd_after) = run_pd_after {
+                if self.device.is_powered_down() && !self.device.any_bank_open() {
+                    if let Some(run) =
+                        self.device
+                            .idle_refresh_run(ref_at, self.t_refi, pd_after, target)
+                    {
+                        self.refreshes_issued += run.refreshes;
+                        self.stats.refreshes_idle += run.refreshes;
+                        self.stats.wakeups += run.exits;
+                        self.recompute_forced_refresh();
+                        // The run stops where this loop would: no refresh
+                        // or power-down entry falls due before `target`.
+                        break;
+                    }
+                }
+            }
             let next = pd_at.min(ref_at).min(sr_at);
             if next >= target {
                 break;

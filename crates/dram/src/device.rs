@@ -45,6 +45,16 @@ pub struct ClusterStats {
     pub self_refreshes: u64,
 }
 
+/// What one [`BankCluster::idle_refresh_run`] issued.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IdleRefreshRun {
+    /// Refreshes issued.
+    pub refreshes: u64,
+    /// Power-down exits issued: one before each refresh that found the
+    /// device powered down.
+    pub exits: u64,
+}
+
 /// Builder-style configuration for a [`BankCluster`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterConfig {
@@ -585,6 +595,86 @@ impl BankCluster {
         Ok((first, end))
     }
 
+    /// Runs the idle tail's power-down/refresh periods up to `target` in
+    /// one pass: the idle-side twin of [`BankCluster::issue_column_run`].
+    ///
+    /// Refreshes fall due at `first_due` and every `t_refi` cycles after it.
+    /// For each one due before `target` the device leaves power-down (PDX,
+    /// when it is powered down) and refreshes (REF), each at its earliest
+    /// legal cycle at or after the due cycle. It powers down again (PDE)
+    /// `pd_after` cycles after the refresh's tRFC window closes, if that
+    /// cycle lands before both `target` and the next due refresh. The
+    /// commands, their cycles, bank and bus state, statistics, the trace
+    /// and the energy account (the same f64 additions in the same order)
+    /// are exactly those of issuing the same sequence one command at a time
+    /// through [`BankCluster::issue_at_earliest`].
+    ///
+    /// Runs only when the device is powered down with every bank closed and
+    /// no observability attached; otherwise it issues nothing and returns
+    /// `None`.
+    pub fn idle_refresh_run(
+        &mut self,
+        first_due: u64,
+        t_refi: u64,
+        pd_after: u64,
+        target: u64,
+    ) -> Option<IdleRefreshRun> {
+        if !self.powered_down || self.any_bank_open() || self.obs.is_some() {
+            return None;
+        }
+        debug_assert!(!self.self_refreshing && t_refi > 0);
+        let t = self.timing;
+        let mut run = IdleRefreshRun::default();
+        let mut due = first_due;
+        // REF waits for every bank's ACT watermark; each REF pushes them all
+        // to its tRFC end, so their maximum is all the run needs. The device
+        // is awake in the run only after a REF, whose tRFC end `act_ready`
+        // then is: where the idle count towards PDE restarts.
+        let mut act_ready = self.banks.iter().map(Bank::earliest_act).max().unwrap_or(0);
+        loop {
+            let pde_at = if self.powered_down {
+                u64::MAX
+            } else {
+                act_ready.saturating_add(pd_after)
+            };
+            if due.min(pde_at) >= target {
+                break;
+            }
+            if due <= pde_at {
+                if self.powered_down {
+                    let c = self.earliest_cmd.max(due).max(self.pd_since + t.t_cke_min);
+                    self.log_command(DramCommand::PowerDownExit, c);
+                    self.powered_down = false;
+                    self.earliest_cmd = self.earliest_cmd.max(c + t.t_xp).max(c + 1);
+                    self.switch_background(BackgroundState::PrechargeStandby, c);
+                    run.exits += 1;
+                }
+                let c = self.earliest_cmd.max(due).max(act_ready);
+                self.log_command(DramCommand::Refresh, c);
+                self.earliest_cmd = self.earliest_cmd.max(c + t.t_rfc).max(c + 1);
+                act_ready = act_ready.max(c + t.t_rfc);
+                self.energy.record_refresh();
+                self.stats.refreshes += 1;
+                run.refreshes += 1;
+                due = due.saturating_add(t_refi);
+            } else {
+                let c = self.earliest_cmd.max(pde_at).max(self.data_busy_until);
+                self.log_command(DramCommand::PowerDownEnter, c);
+                self.powered_down = true;
+                self.pd_since = c;
+                self.stats.power_downs += 1;
+                self.earliest_cmd = self.earliest_cmd.max(c + 1);
+                self.switch_background(BackgroundState::PrechargePowerDown, c);
+            }
+        }
+        if run.refreshes > 0 {
+            for b in &mut self.banks {
+                b.push_act_watermark(act_ready);
+            }
+        }
+        Some(run)
+    }
+
     /// `(extra tRCD, extra tRP)` for `bank`; `(0, 0)` when healthy.
     #[inline]
     fn penalty_of(&self, bank: usize) -> (u64, u64) {
@@ -595,10 +685,7 @@ impl BankCluster {
     /// stats and energy. `cycle` must satisfy `earliest_issue` and program
     /// order; both entry points guarantee it.
     fn apply(&mut self, cmd: DramCommand, cycle: u64) -> Result<IssueOutcome, DramError> {
-        self.last_state_cycle = cycle;
-        if let Some(trace) = &mut self.trace {
-            trace.push(crate::validate::TracedCommand { cycle, cmd });
-        }
+        self.log_command(cmd, cycle);
         let t = self.timing;
         let mut outcome = IssueOutcome {
             data_end_cycle: None,
@@ -705,11 +792,7 @@ impl BankCluster {
             BackgroundState::from_flags(self.open_banks > 0, self.powered_down)
         };
         if self.obs.is_none() {
-            if state != self.bg_state {
-                self.bg_state = state;
-                let now = self.time_of_cycle(cycle);
-                self.energy.switch_state(state, now);
-            }
+            self.switch_background(state, cycle);
             return Ok(outcome);
         }
         self.bg_state = state;
@@ -735,6 +818,27 @@ impl BankCluster {
             }
         }
         Ok(outcome)
+    }
+
+    /// Program-order bookkeeping every committed command shares: the
+    /// last-state cycle and, when tracing, the trace entry.
+    #[inline]
+    fn log_command(&mut self, cmd: DramCommand, cycle: u64) {
+        self.last_state_cycle = cycle;
+        if let Some(trace) = &mut self.trace {
+            trace.push(crate::validate::TracedCommand { cycle, cmd });
+        }
+    }
+
+    /// Closes the background-energy interval at `cycle` and enters `state`,
+    /// if the state changes; the observability-free path.
+    #[inline]
+    fn switch_background(&mut self, state: BackgroundState, cycle: u64) {
+        if state != self.bg_state {
+            self.bg_state = state;
+            let now = self.time_of_cycle(cycle);
+            self.energy.switch_state(state, now);
+        }
     }
 
     /// Wall-clock time of a cycle index on this device's interface clock.
@@ -1040,5 +1144,102 @@ mod tests {
             c2.issue(DramCommand::Activate { bank: 0, row: 8192 }, 0),
             Err(DramError::IllegalCommand { .. })
         ));
+    }
+
+    /// The sequence [`BankCluster::idle_refresh_run`] documents, issued one
+    /// command at a time through [`BankCluster::issue_at_earliest`].
+    fn idle_run_per_command(
+        c: &mut BankCluster,
+        first_due: u64,
+        t_refi: u64,
+        pd_after: u64,
+        target: u64,
+    ) -> IdleRefreshRun {
+        let mut run = IdleRefreshRun::default();
+        let mut due = first_due;
+        let mut idle_since = 0;
+        loop {
+            let pde_at = if c.is_powered_down() {
+                u64::MAX
+            } else {
+                idle_since + pd_after
+            };
+            if due.min(pde_at) >= target {
+                return run;
+            }
+            if due <= pde_at {
+                if c.is_powered_down() {
+                    c.issue_at_earliest(DramCommand::PowerDownExit, due)
+                        .unwrap();
+                    run.exits += 1;
+                }
+                let (r, _) = c.issue_at_earliest(DramCommand::Refresh, due).unwrap();
+                idle_since = r + c.timing().t_rfc;
+                run.refreshes += 1;
+                due += t_refi;
+            } else {
+                c.issue_at_earliest(DramCommand::PowerDownEnter, pde_at)
+                    .unwrap();
+            }
+        }
+    }
+
+    /// Refresh intervals from shorter than tRFC (back-to-back refreshes)
+    /// through ties between the next refresh and power-down entry (the
+    /// refresh wins) to long power-down stretches, at whole and fractional
+    /// picosecond clock periods: the same commands, cycles, state and
+    /// energy bits as per-command issue.
+    #[test]
+    fn idle_refresh_run_matches_per_command_issue() {
+        for clock in [266, 400] {
+            for t_refi in 1..=120 {
+                for pd_after in [0, 1, 5, 30, 64] {
+                    // A row opened and closed just before power-down: the
+                    // first refresh waits for its ACT watermark.
+                    let mut runs = [(); 2].map(|_| {
+                        let mut c =
+                            BankCluster::new(&ClusterConfig::next_gen_mobile_ddr(clock)).unwrap();
+                        c.enable_trace();
+                        c.issue(DramCommand::Activate { bank: 2, row: 9 }, 0)
+                            .unwrap();
+                        let pre = c
+                            .earliest_issue(DramCommand::Precharge { bank: 2 }, 0)
+                            .unwrap();
+                        c.issue(DramCommand::Precharge { bank: 2 }, pre).unwrap();
+                        c.issue(DramCommand::PowerDownEnter, pre + 1).unwrap();
+                        c
+                    });
+                    let (first_due, target) = (10, 3_000);
+                    let batched = runs[0]
+                        .idle_refresh_run(first_due, t_refi, pd_after, target)
+                        .unwrap();
+                    let reference =
+                        idle_run_per_command(&mut runs[1], first_due, t_refi, pd_after, target);
+                    let [b, r] = &mut runs;
+                    let case = format!("{clock} MHz, tREFI {t_refi}, PDE after {pd_after}");
+                    assert_eq!(batched, reference, "{case}");
+                    // Debug prints every field, f64s in round-trip form:
+                    // banks, buses, power state, stats, trace and energy.
+                    assert_eq!(format!("{b:?}"), format!("{r:?}"), "{case}");
+                    let end = target + 500;
+                    assert_eq!(
+                        b.total_energy_pj(end).to_bits(),
+                        r.total_energy_pj(end).to_bits(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn idle_refresh_run_needs_a_powered_down_idle_device() {
+        let mut c = cluster();
+        assert_eq!(c.idle_refresh_run(10, 100, 1, 1_000), None);
+        c.issue(DramCommand::Activate { bank: 0, row: 0 }, 0)
+            .unwrap();
+        c.issue(DramCommand::PowerDownEnter, 1).unwrap();
+        assert_eq!(c.idle_refresh_run(10, 100, 1, 1_000), None);
+        assert_eq!(c.stats().refreshes, 0);
     }
 }

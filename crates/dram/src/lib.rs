@@ -55,7 +55,7 @@ pub mod validate;
 pub use address::{AddressDecoder, AddressMapping, DecodedAddress};
 pub use bank::{Bank, BankPhase};
 pub use command::DramCommand;
-pub use device::{BankCluster, ClusterConfig, ClusterStats, IssueOutcome};
+pub use device::{BankCluster, ClusterConfig, ClusterStats, IdleRefreshRun, IssueOutcome};
 pub use error::DramError;
 pub use params::{Geometry, ResolvedTiming, TimingParams};
 pub use power::{BackgroundState, EnergyAccount, EnergyModel, IddValues, OperatingPoint};

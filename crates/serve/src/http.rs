@@ -41,12 +41,21 @@ const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// Reads one request off the stream. Returns a human-readable refusal for
 /// malformed or oversized requests (the caller answers 400).
+///
+/// The request line and headers are read through a limit one byte past
+/// `MAX_HEADER_BYTES`, so a line that never ends is refused as soon as
+/// it crosses the cap instead of growing a buffer until the read timeout.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+    const TOO_LARGE: &str = "header section too large";
     let mut reader = BufReader::new(stream);
+    let mut head = (&mut reader).take(MAX_HEADER_BYTES as u64 + 1);
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
+    head.read_line(&mut line)
         .map_err(|e| format!("reading request line: {e}"))?;
+    let mut header_bytes = line.len();
+    if header_bytes > MAX_HEADER_BYTES {
+        return Err(TOO_LARGE.to_string());
+    }
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -59,15 +68,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     let path = target.split('?').next().unwrap_or(target).to_string();
 
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
         let mut header = String::new();
-        reader
-            .read_line(&mut header)
+        head.read_line(&mut header)
             .map_err(|e| format!("reading headers: {e}"))?;
         header_bytes += header.len();
         if header_bytes > MAX_HEADER_BYTES {
-            return Err("header section too large".to_string());
+            return Err(TOO_LARGE.to_string());
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -173,6 +180,29 @@ mod tests {
     fn bad_content_length_is_refused() {
         let e = roundtrip("POST /runs HTTP/1.1\r\nContent-Length: nope\r\n\r\n").unwrap_err();
         assert!(e.contains("Content-Length"), "{e}");
+    }
+
+    #[test]
+    fn header_section_is_capped() {
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEADER_BYTES));
+        assert_eq!(
+            roundtrip(&long_line).unwrap_err(),
+            "header section too large"
+        );
+        let long_header = format!(
+            "GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_HEADER_BYTES)
+        );
+        assert_eq!(
+            roundtrip(&long_header).unwrap_err(),
+            "header section too large"
+        );
+        // Exactly at the cap is still a request.
+        let line = "GET /healthz HTTP/1.1\r\n";
+        let pad = MAX_HEADER_BYTES - line.len() - "X-Pad: \r\n\r\n".len();
+        let at_cap = format!("{line}X-Pad: {}\r\n\r\n", "a".repeat(pad));
+        assert_eq!(at_cap.len(), MAX_HEADER_BYTES);
+        assert_eq!(roundtrip(&at_cap).unwrap().path, "/healthz");
     }
 
     #[test]

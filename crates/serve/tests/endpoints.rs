@@ -160,6 +160,42 @@ fn health_routing_and_refusals() {
     h.shutdown();
 }
 
+/// A 64 KiB request line with no newline, on a connection the client keeps
+/// open: the server refuses it as soon as the 16 KiB header cap is crossed
+/// instead of waiting out its 10 s read timeout, and serves the next
+/// client afterwards.
+#[test]
+fn endless_request_line_is_refused_at_the_header_cap() {
+    let h = Harness::start("endless-line", 1);
+    let mut stream = TcpStream::connect(h.addr).expect("server accepts connections");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let started = Instant::now();
+    // The server may reset the connection once it has answered and closed
+    // with part of the line unread, cutting this write short.
+    let _ = stream.write_all(&vec![b'A'; 64 * 1024]);
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n) = stream.read(&mut buf) {
+        if n == 0 {
+            break;
+        }
+        raw.extend_from_slice(&buf[..n]);
+    }
+    let elapsed = started.elapsed();
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 400 "), "{text:?}");
+    assert!(text.contains("header section too large"), "{text:?}");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "answered after {elapsed:?}, not well before the 10 s read timeout"
+    );
+    assert_eq!(h.call("GET", "/healthz", None).status, 200);
+    drop(stream);
+    h.shutdown();
+}
+
 #[test]
 fn infeasible_submissions_carry_a_witness() {
     let h = Harness::start("infeasible", 1);

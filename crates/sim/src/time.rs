@@ -4,8 +4,8 @@
 //! fine enough to represent every interface clock the paper's DDR2-range
 //! next-generation mobile DDR SDRAM can use (200–533 MHz, i.e. periods of
 //! 5000 ps down to ~1876 ps) without cumulative rounding error: cycle indices
-//! are converted to absolute times with a multiply-then-divide in 128-bit
-//! arithmetic instead of accumulating a rounded period.
+//! are converted to absolute times with an exact multiply-then-divide
+//! instead of accumulating a rounded period.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub, SubAssign};
@@ -279,9 +279,13 @@ impl std::error::Error for ZeroFrequencyError {}
 
 /// Exact cycle-count ↔ time conversion for one clock.
 ///
-/// All conversions compute `cycles * 10^12 / f` in 128-bit arithmetic so that
-/// cycle N of a 533 MHz clock lands on the mathematically correct picosecond
+/// All conversions compute `cycles * 10^12 / f` exactly, so that cycle N of
+/// a 533 MHz clock lands on the mathematically correct picosecond
 /// regardless of N; there is no accumulated drift from a rounded period.
+/// The period is kept as the reduced fraction `10^12 / f`, and each
+/// conversion runs in u64 arithmetic while its intermediate product fits,
+/// falling back to 128-bit arithmetic beyond that. Both give the same
+/// result for every input.
 ///
 /// DDR devices transfer data on both clock edges; [`ClockDomain::time_of_half_cycles`]
 /// provides half-cycle resolution for bus-occupancy bookkeeping.
@@ -298,30 +302,35 @@ impl std::error::Error for ZeroFrequencyError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockDomain {
     freq: Frequency,
-    /// Clock period in whole picoseconds when the frequency divides 10^12
-    /// evenly (e.g. 400 MHz → 2500 ps), else 0. Caching it turns the hot
-    /// cycle↔time conversions into single u64 multiplies/divides instead of
-    /// 128-bit divisions, with bit-identical results.
-    exact_period_ps: u64,
+    /// The period `10^12 / f` picoseconds as the reduced fraction
+    /// `num / den`: 400 MHz is 2500/1, 533 MHz is 1_000_000/533. With a
+    /// whole-picosecond period (`den == 1`) `time_of_cycles` is one
+    /// multiply; otherwise conversions are a u64 multiply and divide
+    /// instead of a 128-bit division.
+    num: u64,
+    den: u64,
+}
+
+const fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 impl ClockDomain {
     /// Creates a clock domain. Fails on a zero frequency.
     pub fn new(freq: Frequency) -> Result<Self, ZeroFrequencyError> {
-        if freq.as_hz() == 0 {
-            Err(ZeroFrequencyError)
-        } else {
-            let hz = freq.as_hz();
-            let exact_period_ps = if PS_PER_S.is_multiple_of(hz) {
-                PS_PER_S / hz
-            } else {
-                0
-            };
-            Ok(ClockDomain {
-                freq,
-                exact_period_ps,
-            })
+        let hz = freq.as_hz();
+        if hz == 0 {
+            return Err(ZeroFrequencyError);
         }
+        let g = gcd(PS_PER_S, hz);
+        Ok(ClockDomain {
+            freq,
+            num: PS_PER_S / g,
+            den: hz / g,
+        })
     }
 
     /// The domain's frequency.
@@ -340,50 +349,72 @@ impl ClockDomain {
     /// rounded to the nearest picosecond.
     #[inline]
     pub fn time_of_cycles(self, cycles: u64) -> SimTime {
-        if self.exact_period_ps != 0 {
+        if self.den == 1 {
             // Wrapping multiply matches the `as u64` truncation of the
-            // general path for (absurd) cycle counts beyond SimTime's range.
-            return SimTime::from_ps(cycles.wrapping_mul(self.exact_period_ps));
+            // 128-bit path for (absurd) cycle counts beyond SimTime's range.
+            return SimTime::from_ps(cycles.wrapping_mul(self.num));
         }
-        let hz = self.freq.as_hz() as u128;
-        let ps = (cycles as u128 * PS_PER_S as u128 + hz / 2) / hz;
-        SimTime::from_ps(ps as u64)
+        // (c·num + ⌊den/2⌋) / den equals (c·10^12 + ⌊f/2⌋) / f: both are
+        // c·num / den rounded half up, since writing c·num = q·den + r,
+        // each rounds up exactly when r ≥ den/2.
+        let ps = match cycles
+            .checked_mul(self.num)
+            .and_then(|p| p.checked_add(self.den / 2))
+        {
+            Some(p) => p / self.den,
+            None => {
+                let hz = self.freq.as_hz() as u128;
+                ((cycles as u128 * PS_PER_S as u128 + hz / 2) / hz) as u64
+            }
+        };
+        SimTime::from_ps(ps)
     }
 
     /// Absolute time of half-cycle index `half_cycles` (two half-cycles per
     /// clock cycle; DDR data beats occupy one half-cycle each).
     #[inline]
     pub fn time_of_half_cycles(self, half_cycles: u64) -> SimTime {
-        if self.exact_period_ps != 0 && self.exact_period_ps & 1 == 0 {
-            return SimTime::from_ps(half_cycles.wrapping_mul(self.exact_period_ps >> 1));
-        }
-        let hz2 = 2 * self.freq.as_hz() as u128;
-        let ps = (half_cycles as u128 * PS_PER_S as u128 + hz2 / 2) / hz2;
-        SimTime::from_ps(ps as u64)
+        // (h·num + den) / 2den is (h·10^12 + f) / 2f with both terms of the
+        // fraction divided by gcd(10^12, f).
+        let ps = match (
+            half_cycles
+                .checked_mul(self.num)
+                .and_then(|p| p.checked_add(self.den)),
+            self.den.checked_mul(2),
+        ) {
+            (Some(p), Some(den2)) => p / den2,
+            _ => {
+                let hz2 = 2 * self.freq.as_hz() as u128;
+                ((half_cycles as u128 * PS_PER_S as u128 + hz2 / 2) / hz2) as u64
+            }
+        };
+        SimTime::from_ps(ps)
     }
 
     /// Number of whole cycles that have *completed* by time `t`
     /// (i.e. `floor(t / period)` computed exactly).
     #[inline]
     pub fn cycles_at(self, t: SimTime) -> u64 {
-        if let Some(cycles) = t.as_ps().checked_div(self.exact_period_ps) {
-            return cycles;
+        match t.as_ps().checked_mul(self.den) {
+            Some(p) => p / self.num,
+            None => {
+                let hz = self.freq.as_hz() as u128;
+                ((t.as_ps() as u128 * hz) / PS_PER_S as u128) as u64
+            }
         }
-        let hz = self.freq.as_hz() as u128;
-        ((t.as_ps() as u128 * hz) / PS_PER_S as u128) as u64
     }
 
     /// Smallest cycle index whose edge is at or after `t`
     /// (i.e. `ceil(t / period)` computed exactly).
     #[inline]
     pub fn cycles_ceil(self, t: SimTime) -> u64 {
-        if self.exact_period_ps != 0 {
-            return t.as_ps().div_ceil(self.exact_period_ps);
+        match t.as_ps().checked_mul(self.den) {
+            Some(p) => p.div_ceil(self.num),
+            None => {
+                let hz = self.freq.as_hz() as u128;
+                (t.as_ps() as u128 * hz).div_ceil(PS_PER_S as u128) as u64
+            }
         }
-        let hz = self.freq.as_hz() as u128;
-        let num = t.as_ps() as u128 * hz;
-        let den = PS_PER_S as u128;
-        num.div_ceil(den) as u64
     }
 
     /// Converts a duration given in nanoseconds to a whole number of cycles,
@@ -490,6 +521,88 @@ mod tests {
         assert_eq!(clk.cycles_ceil(SimTime::from_ps(2_499)), 1);
         assert_eq!(clk.cycles_ceil(SimTime::from_ps(2_500)), 1);
         assert_eq!(clk.cycles_ceil(SimTime::from_ps(2_501)), 2);
+    }
+
+    /// The 128-bit formulas every conversion must reproduce bit for bit,
+    /// written out independently of the reduced-fraction paths under test:
+    /// `(time_of_cycles, time_of_half_cycles, cycles_at, cycles_ceil)` of
+    /// input `x` on a clock of `hz`.
+    fn reference(hz: u64, x: u64) -> (u64, u64, u64, u64) {
+        let (hz, x, ps) = (hz as u128, x as u128, PS_PER_S as u128);
+        (
+            ((x * ps + hz / 2) / hz) as u64,
+            ((x * ps + hz) / (2 * hz)) as u64,
+            ((x * hz) / ps) as u64,
+            (x * hz).div_ceil(ps) as u64,
+        )
+    }
+
+    fn conversions(clk: ClockDomain, x: u64) -> (u64, u64, u64, u64) {
+        (
+            clk.time_of_cycles(x).as_ps(),
+            clk.time_of_half_cycles(x).as_ps(),
+            clk.cycles_at(SimTime::from_ps(x)),
+            clk.cycles_ceil(SimTime::from_ps(x)),
+        )
+    }
+
+    /// Inputs on both sides of each conversion's u64 overflow boundary
+    /// (where the 128-bit fallback takes over), plus both ends of the range.
+    fn edge_inputs(clk: ClockDomain) -> Vec<u64> {
+        let (num, den) = (clk.num, clk.den);
+        [
+            (u64::MAX - den / 2) / num,
+            (u64::MAX - den) / num,
+            u64::MAX / den,
+        ]
+        .into_iter()
+        .flat_map(|e| [e.saturating_sub(1), e, e.saturating_add(1)])
+        .chain([0, 1, 2, 3, u64::MAX - 1, u64::MAX])
+        .collect()
+    }
+
+    fn check_against_reference(hz: u64, inputs: impl IntoIterator<Item = u64>) {
+        let clk = ClockDomain::new(Frequency::from_hz(hz)).unwrap();
+        for x in inputs {
+            assert_eq!(conversions(clk, x), reference(hz, x), "{hz} Hz, input {x}");
+        }
+    }
+
+    #[test]
+    fn fraction_is_reduced() {
+        let clk = ClockDomain::new(Frequency::from_mhz(533)).unwrap();
+        assert_eq!((clk.num, clk.den), (1_000_000, 533));
+        let clk = ClockDomain::new(Frequency::from_mhz(400)).unwrap();
+        assert_eq!((clk.num, clk.den), (2_500, 1));
+    }
+
+    #[test]
+    fn every_integer_mhz_matches_the_128_bit_formulas() {
+        for mhz in 1..=2_000u64 {
+            let hz = mhz * 1_000_000;
+            let clk = ClockDomain::new(Frequency::from_hz(hz)).unwrap();
+            let spread = (0..64).map(|s| 0x9e37_79b9_7f4a_7c15u64.rotate_left(s) >> s);
+            check_against_reference(
+                hz,
+                edge_inputs(clk)
+                    .into_iter()
+                    .chain(spread)
+                    .chain([1_000_003, 533_000_000, 1 << 40]),
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_clocks_match_the_128_bit_formulas(
+            hz in 1u64..=10_000_000_000,
+            raw in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // `raw >> shift` spreads inputs log-uniformly over [0, u64::MAX].
+            let clk = ClockDomain::new(Frequency::from_hz(hz)).unwrap();
+            check_against_reference(hz, edge_inputs(clk).into_iter().chain([raw, raw >> shift]));
+        }
     }
 
     #[test]
