@@ -54,8 +54,8 @@ pub struct BenchConfig {
     /// Measured runs per scenario.
     pub repeats: u32,
     /// Execution policy applied to the direct and steady scenarios. The
-    /// policy-comparison scenarios (`per-channel`, `memoized`) are always
-    /// measured on top, whatever this is set to.
+    /// memoized steady scenario is always measured on top, whatever this is
+    /// set to.
     pub execution: ExecutionPolicy,
 }
 
@@ -89,7 +89,7 @@ impl BenchConfig {
     }
 
     /// Overrides the execution policy of the base scenarios (builder
-    /// style); `mcm bench --execution` / `--threads` land here.
+    /// style); `mcm bench --execution` lands here.
     pub fn with_execution(mut self, execution: ExecutionPolicy) -> Self {
         self.execution = execution;
         self
@@ -244,7 +244,7 @@ fn paper_exp(point: HdOperatingPoint, channels: u32, op_limit: Option<u64>) -> E
 }
 
 /// Scenario-name suffix identifying a non-default execution policy, e.g.
-/// `" [per-channel:2]"`. Empty for the serial default so existing
+/// `" [memoized]"`. Empty for the serial default so existing
 /// baseline scenario names stay stable.
 fn policy_suffix(policy: &ExecutionPolicy) -> String {
     if *policy == ExecutionPolicy::default() {
@@ -486,19 +486,6 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
     scenarios.push(direct);
     scenarios.push(ed_cal);
     scenarios.push(ed_heap);
-
-    // Policy comparison on the headline cell: the per-channel parallel
-    // path (bit-identical output, split across the rayon pool; the gain
-    // needs real cores — a 1-CPU runner reports roughly 1x) and the
-    // steady-state memoization fast path (identical frames priced once).
-    let par_cfg = BenchConfig {
-        execution: ExecutionPolicy::per_channel(2),
-        ..*cfg
-    };
-    match direct_measurement(&par_cfg, HdOperatingPoint::Hd1080p30, 4, None) {
-        Ok(m) => scenarios.push(m),
-        Err(e) => skipped.push(format!("1080p30 x4ch direct [per-channel:2]: {e}")),
-    }
 
     // Single-frame grid, bounded per cell so the full grid stays minutes,
     // not hours.

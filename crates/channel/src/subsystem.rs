@@ -5,12 +5,11 @@
 
 use std::sync::Arc;
 
-use mcm_ctrl::{AccessOp, ChannelReport, ChannelRequest, Controller, ControllerConfig, CtrlError};
+use mcm_ctrl::{AccessOp, ChannelReport, ChannelRequest, Controller, ControllerConfig};
 use mcm_dram::AddressMapping;
 use mcm_fault::{FaultPlan, WindowSpec};
-use mcm_obs::{ChannelObs, EventLog, FaultKind, Recorder};
+use mcm_obs::{ChannelObs, FaultKind, Recorder};
 use mcm_sim::{ClockDomain, Frequency, SimTime};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::error::ChannelError;
@@ -563,222 +562,6 @@ impl MemorySubsystem {
         Ok(done)
     }
 
-    /// Submits a whole burst of master transactions with per-channel
-    /// parallelism and returns the cycle at which the last one finished
-    /// (0 for an empty batch).
-    ///
-    /// Channels only couple through the interleave fan-out and the
-    /// `max(done_cycle)` fold, so the batch is split per channel (phase 1,
-    /// serial), each channel's request substream is simulated on the rayon
-    /// pool (phase 2, parallel — every controller sees exactly the request
-    /// sequence serial submission would have fed it), and the per-channel
-    /// results and buffered recorder events are merged back deterministically
-    /// in transaction-major `(transaction, channel, capture-sequence)` order
-    /// — the calendar queue's FIFO-among-equals tiebreak discipline —
-    /// (phase 3, serial). The result — timings, statistics, traces and the
-    /// recorder event stream — is bit-identical to [`Self::submit_batch`]
-    /// at any thread count.
-    ///
-    /// `threads == 0` uses the ambient rayon pool size (`RAYON_NUM_THREADS`
-    /// or the CPU count). Degraded subsystems (an applied fault plan couples
-    /// channels through remaps and arrival floors) and single-channel
-    /// subsystems fall back to the serial path. Unlike `submit_batch`, the
-    /// whole batch is validated up front, so a rejected transaction fails
-    /// the batch before any traffic flows; errors raised mid-simulation
-    /// (impossible for validated, arrival-monotone input) are reported for
-    /// the lowest `(transaction, channel)` pair, and the subsystem state is
-    /// then unspecified but internally consistent.
-    pub fn submit_batch_parallel(
-        &mut self,
-        txns: &[MasterTransaction],
-        threads: usize,
-    ) -> Result<u64, ChannelError> {
-        if self.faults.is_some() || self.controllers.len() == 1 || txns.len() < 2 {
-            return self.submit_batch(txns);
-        }
-        // Phase 1a: validate the whole batch before any traffic flows.
-        for txn in txns {
-            if txn.len == 0 {
-                return Err(ChannelError::BadConfig {
-                    reason: "zero-length master transaction".into(),
-                });
-            }
-            let end = txn
-                .addr
-                .checked_add(txn.len)
-                .ok_or(ChannelError::AddressOutOfRange {
-                    addr: txn.addr,
-                    capacity_bytes: self.capacity_bytes,
-                })?;
-            if end > self.capacity_bytes {
-                return Err(ChannelError::AddressOutOfRange {
-                    addr: txn.addr,
-                    capacity_bytes: self.capacity_bytes,
-                });
-            }
-        }
-        // Phase 1b: fan every transaction out into per-channel substreams.
-        let channels = self.controllers.len();
-        let mut per_channel: Vec<Vec<(u32, ChannelRequest)>> = vec![Vec::new(); channels];
-        let mut slices = std::mem::take(&mut self.slice_buf);
-        for (idx, txn) in txns.iter().enumerate() {
-            self.interleave
-                .split_range_into(txn.addr, txn.len, &mut slices);
-            for (ch, slice) in slices.iter().enumerate() {
-                let Some((local, len)) = *slice else { continue };
-                per_channel[ch].push((
-                    idx as u32,
-                    ChannelRequest {
-                        op: txn.op,
-                        addr: local,
-                        len: len as u32,
-                        arrival: txn.arrival,
-                    },
-                ));
-            }
-        }
-        self.slice_buf = slices;
-        // Phase 2: simulate each channel's substream on the rayon pool. The
-        // controllers move into the workers and come back in channel order
-        // (the vendored pool collects map results in input order). With a
-        // recorder attached, each worker buffers its events in a private
-        // `EventLog` for the deterministic replay below.
-        struct WorkerOutcome {
-            ctrl: Controller,
-            /// Per retired request: (transaction index, done cycle, event-log
-            /// length after this request's events).
-            dones: Vec<(u32, u64, usize)>,
-            err: Option<(u32, CtrlError)>,
-            log: Option<Arc<EventLog>>,
-        }
-        let clock = self.clock;
-        let recorder = self.recorder.clone();
-        type ChannelWork = (usize, Controller, Vec<(u32, ChannelRequest)>);
-        let work: Vec<ChannelWork> = std::mem::take(&mut self.controllers)
-            .into_iter()
-            .zip(per_channel)
-            .enumerate()
-            .map(|(ch, (ctrl, reqs))| (ch, ctrl, reqs))
-            .collect();
-        let run_channel = |(ch, mut ctrl, reqs): ChannelWork| {
-            let log = recorder.as_ref().map(|_| Arc::new(EventLog::new()));
-            if let Some(log) = &log {
-                ctrl.set_obs(ChannelObs::new(
-                    Arc::clone(log) as Arc<dyn Recorder>,
-                    ch as u32,
-                ));
-            }
-            let mut dones = Vec::with_capacity(reqs.len());
-            let mut err = None;
-            for (txn, req) in reqs {
-                let write = req.op == AccessOp::Write;
-                let len = u64::from(req.len);
-                match ctrl.access(req) {
-                    Ok(res) => {
-                        if let Some(log) = &log {
-                            let at_ps = clock.time_of_cycles(res.done_cycle).as_ps();
-                            log.record_bytes(ch as u32, write, len, at_ps);
-                        }
-                        dones.push((txn, res.done_cycle, log.as_ref().map_or(0, |l| l.len())));
-                    }
-                    Err(source) => {
-                        err = Some((txn, source));
-                        break;
-                    }
-                }
-            }
-            WorkerOutcome {
-                ctrl,
-                dones,
-                err,
-                log,
-            }
-        };
-        let outcomes: Vec<WorkerOutcome> = if threads == 1 {
-            work.into_iter().map(run_channel).collect()
-        } else {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .map_err(|e| ChannelError::BadConfig {
-                    reason: format!("cannot build rayon pool: {e}"),
-                })?;
-            pool.install(|| work.into_par_iter().map(run_channel).collect())
-        };
-        // Phase 3: restore the controllers (and their live observability
-        // handles), then merge results and buffered events deterministically.
-        let mut first_err: Option<(u32, u32, CtrlError)> = None;
-        let mut logs: Vec<Option<Arc<EventLog>>> = Vec::with_capacity(channels);
-        let mut dones: Vec<Vec<(u32, u64, usize)>> = Vec::with_capacity(channels);
-        for (ch, oc) in outcomes.into_iter().enumerate() {
-            let mut ctrl = oc.ctrl;
-            if let Some(rec) = &self.recorder {
-                ctrl.set_obs(ChannelObs::new(Arc::clone(rec), ch as u32));
-            }
-            self.controllers.push(ctrl);
-            if let Some((txn, source)) = oc.err {
-                let better = first_err
-                    .as_ref()
-                    .is_none_or(|(t, c, _)| (txn, ch as u32) < (*t, *c));
-                if better {
-                    first_err = Some((txn, ch as u32, source));
-                }
-            }
-            logs.push(oc.log);
-            dones.push(oc.dones);
-        }
-        if let Some((_, channel, source)) = first_err {
-            return Err(ChannelError::Ctrl { channel, source });
-        }
-        let mut txn_done = vec![0u64; txns.len()];
-        for ch_dones in &dones {
-            for &(txn, done, _) in ch_dones {
-                let slot = &mut txn_done[txn as usize];
-                *slot = (*slot).max(done);
-            }
-        }
-        if let Some(rec) = &self.recorder {
-            // Transaction-major replay reproduces the serial emission order
-            // exactly: per transaction, each touched channel's buffered
-            // events in ascending channel order, then the "txn" span.
-            let events: Vec<Vec<mcm_obs::ObsEvent>> = logs
-                .iter()
-                .map(|l| l.as_ref().map_or_else(Vec::new, |l| l.take()))
-                .collect();
-            let mut cursor = vec![0usize; channels];
-            let mut next = vec![0usize; channels];
-            for (idx, txn) in txns.iter().enumerate() {
-                for ch in 0..channels {
-                    let Some(&(t, _, end)) = dones[ch].get(next[ch]) else {
-                        continue;
-                    };
-                    if t as usize != idx {
-                        continue;
-                    }
-                    for e in &events[ch][cursor[ch]..end] {
-                        e.replay(rec.as_ref());
-                    }
-                    cursor[ch] = end;
-                    next[ch] += 1;
-                }
-                let done = txn_done[idx];
-                rec.record_span(
-                    "txn",
-                    None,
-                    self.clock.time_of_cycles(txn.arrival).as_ps(),
-                    self.clock.time_of_cycles(done.max(txn.arrival)).as_ps(),
-                );
-            }
-        }
-        for txn in txns {
-            match txn.op {
-                AccessOp::Read => self.bytes_read += txn.len,
-                AccessOp::Write => self.bytes_written += txn.len,
-            }
-        }
-        Ok(txn_done.into_iter().max().unwrap_or(0))
-    }
-
     /// Total per-event (activate/burst/refresh) DRAM energy accrued so far
     /// across all channels, picojoules. Unlike [`Self::finish`] this is a
     /// pure read — no idle housekeeping runs — which makes it usable as a
@@ -1186,134 +969,6 @@ mod tests {
             .iter()
             .any(|f| f.kind == mcm_obs::FaultKind::ChannelLost));
         assert_eq!(ch0.counters.bytes_read, 0);
-    }
-
-    fn parity_txns(cap: u64) -> Vec<MasterTransaction> {
-        (0..300u64)
-            .map(|i| MasterTransaction {
-                op: if i % 3 == 0 {
-                    AccessOp::Write
-                } else {
-                    AccessOp::Read
-                },
-                addr: (i * 1216) % (cap - 4096),
-                len: 64 + (i % 5) * 48,
-                arrival: i * 25,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_batch_is_bit_identical_to_serial() {
-        use mcm_obs::StatsRecorder;
-        for channels in [2u32, 4, 8] {
-            let mut serial = mem(channels);
-            let rec_s = Arc::new(StatsRecorder::new());
-            serial.set_recorder(rec_s.clone());
-            let txns = parity_txns(serial.capacity_bytes());
-            let done_s = serial.submit_batch(&txns).unwrap();
-            let rep_s = serial.finish(1_000_000).unwrap();
-            let json_s = rec_s.report().to_json();
-            for threads in [1usize, 2, 4] {
-                let mut par = mem(channels);
-                let rec_p = Arc::new(StatsRecorder::new());
-                par.set_recorder(rec_p.clone());
-                let done_p = par.submit_batch_parallel(&txns, threads).unwrap();
-                assert_eq!(done_s, done_p, "{channels}ch x {threads}t done");
-                let rep_p = par.finish(1_000_000).unwrap();
-                assert_eq!(rep_s.busy_until, rep_p.busy_until);
-                assert_eq!(rep_s.bytes_read, rep_p.bytes_read);
-                assert_eq!(rep_s.bytes_written, rep_p.bytes_written);
-                assert_eq!(
-                    rep_s.core_energy_pj.to_bits(),
-                    rep_p.core_energy_pj.to_bits(),
-                    "{channels}ch x {threads}t energy"
-                );
-                assert_eq!(
-                    json_s,
-                    rec_p.report().to_json(),
-                    "{channels}ch x {threads}t recorder stream"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_batch_without_recorder_matches_serial() {
-        let mut serial = mem(4);
-        let txns = parity_txns(serial.capacity_bytes());
-        let done_s = serial.submit_batch(&txns).unwrap();
-        let rep_s = serial.finish(500_000).unwrap();
-        let mut par = mem(4);
-        let done_p = par.submit_batch_parallel(&txns, 2).unwrap();
-        assert_eq!(done_s, done_p);
-        let rep_p = par.finish(500_000).unwrap();
-        assert_eq!(rep_s.busy_until, rep_p.busy_until);
-        assert_eq!(
-            rep_s.core_energy_pj.to_bits(),
-            rep_p.core_energy_pj.to_bits()
-        );
-        for ch in 0..4 {
-            assert_eq!(
-                serial.controller(ch).unwrap().stats(),
-                par.controller(ch).unwrap().stats(),
-                "controller {ch} stats"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_batch_falls_back_when_degraded() {
-        let plan = FaultPlan::seeded(0xbeef, 4).unwrap();
-        let mut serial = mem(4);
-        serial.apply_faults(&plan).unwrap();
-        let mut par = mem(4);
-        par.apply_faults(&plan).unwrap();
-        let txns = parity_txns(serial.capacity_bytes());
-        let done_s = serial.submit_batch(&txns).unwrap();
-        let done_p = par.submit_batch_parallel(&txns, 4).unwrap();
-        assert_eq!(done_s, done_p);
-        assert_eq!(
-            serial.degrade_stats().unwrap(),
-            par.degrade_stats().unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_batch_validates_up_front() {
-        let mut m = mem(4);
-        let cap = m.capacity_bytes();
-        let txns = vec![
-            MasterTransaction {
-                op: AccessOp::Read,
-                addr: 0,
-                len: 64,
-                arrival: 0,
-            },
-            MasterTransaction {
-                op: AccessOp::Read,
-                addr: cap,
-                len: 64,
-                arrival: 10,
-            },
-        ];
-        assert!(matches!(
-            m.submit_batch_parallel(&txns, 2),
-            Err(ChannelError::AddressOutOfRange { .. })
-        ));
-        // Nothing flowed: the batch was rejected before any traffic.
-        assert_eq!(m.finish(0).unwrap().bytes_read, 0);
-        // Zero-length transactions are rejected the same way.
-        let txns = vec![
-            MasterTransaction {
-                op: AccessOp::Read,
-                addr: 0,
-                len: 0,
-                arrival: 0,
-            };
-            2
-        ];
-        assert!(m.submit_batch_parallel(&txns, 2).is_err());
     }
 
     #[test]

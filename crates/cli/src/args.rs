@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use mcm_core::{ChunkPolicy, ExecutionPolicy, Pacing, Parallelism};
+use mcm_core::{ChunkPolicy, ExecutionPolicy, Pacing};
 use mcm_ctrl::{PagePolicy, PowerDownPolicy};
 use mcm_dram::AddressMapping;
 use mcm_load::{HdOperatingPoint, Workload};
@@ -209,8 +209,7 @@ pub struct BenchArgs {
     /// Prior report to gate against: fail on a >20% headline events/sec
     /// regression.
     pub baseline: Option<String>,
-    /// Execution policy applied to the base scenarios
-    /// (`--execution <spec>` / `--threads <N>`).
+    /// Execution policy applied to the base scenarios (`--execution <spec>`).
     pub execution: ExecutionPolicy,
 }
 
@@ -364,7 +363,7 @@ pub struct RunOptions {
     pub faults: Option<String>,
     /// Cap on simulated operations (None = the whole frame).
     pub op_limit: Option<u64>,
-    /// How the run executes (`--execution <spec>` / `--threads <N>`).
+    /// How the run executes (`--execution <spec>`).
     pub execution: ExecutionPolicy,
 }
 
@@ -524,12 +523,6 @@ fn parse_run_options<'a>(mut args: impl Iterator<Item = &'a str>) -> Result<RunO
                 opts.execution = value()?
                     .parse()
                     .map_err(|e| CliError(format!("bad --execution value: {e}")))?
-            }
-            "--threads" => {
-                let threads: usize = value()?
-                    .parse()
-                    .map_err(|_| CliError("bad --threads value".into()))?;
-                opts.execution.parallelism = Parallelism::PerChannel { threads };
             }
             other => return Err(CliError(format!("unknown flag '{other}'"))),
         }
@@ -818,12 +811,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                             .parse()
                             .map_err(|e| CliError(format!("bad --execution value: {e}")))?
                     }
-                    "--threads" => {
-                        let threads: usize = value()?
-                            .parse()
-                            .map_err(|_| CliError("bad --threads value".into()))?;
-                        a.execution.parallelism = Parallelism::PerChannel { threads };
-                    }
                     other => return Err(CliError(format!("unknown flag '{other}'"))),
                 }
             }
@@ -1043,9 +1030,7 @@ OPTIONS (run / headroom):
     --faults <plan.json>  inject a fault plan (see 'mcm fault')  [healthy]
     --op-limit <N>        cap simulated ops            [full frame]
     --execution <spec>    execution policy: comma list of
-                          serial | per-channel[:N] | calendar |
-                          binary-heap | memoized        [serial]
-    --threads <N>         shorthand for per-channel:N   [serial]
+                          serial | memoized             [serial]
     --json                                             [text]
 
 FAULT OPTIONS:
@@ -1073,7 +1058,6 @@ BENCH OPTIONS:
                         against a prior report           [no gate]
     --execution <spec>  execution policy for the base scenarios
                         (see run OPTIONS)                [serial]
-    --threads <N>       shorthand for per-channel:N      [serial]
 
 SERVE OPTIONS:
     --addr <host:port>  bind address (port 0 = ephemeral)  [127.0.0.1:7700]
@@ -1122,27 +1106,45 @@ mod tests {
 
     #[test]
     fn execution_policy_flags() {
-        match parse_args(["run", "--execution", "per-channel:2,memoized"]).unwrap() {
-            Command::Run(o) => assert_eq!(
-                o.execution,
-                ExecutionPolicy::per_channel(2).with_memoize_steady(true)
-            ),
+        let memoized = ExecutionPolicy::default().with_memoize_steady(true);
+        match parse_args(["run", "--execution", "memoized"]).unwrap() {
+            Command::Run(o) => assert_eq!(o.execution, memoized),
             other => panic!("unexpected command {other:?}"),
         }
-        match parse_args(["run", "--threads", "4"]).unwrap() {
-            Command::Run(o) => assert_eq!(o.execution, ExecutionPolicy::per_channel(4)),
+        match parse_args(["bench", "--quick", "--execution", "memoized"]).unwrap() {
+            Command::Bench(a) => assert_eq!(a.execution, memoized),
             other => panic!("unexpected command {other:?}"),
         }
-        assert!(parse_args(["run", "--execution", "warp-drive"]).is_err());
-        match parse_args(["bench", "--quick", "--threads", "2"]).unwrap() {
-            Command::Bench(a) => assert_eq!(a.execution, ExecutionPolicy::per_channel(2)),
-            other => panic!("unexpected command {other:?}"),
+        // `--threads` sizes only the sweep and serve pools; run and bench refuse it.
+        for args in [
+            &["run", "--threads", "4"][..],
+            &["steady", "--threads", "4"][..],
+            &["bench", "--threads", "2"][..],
+        ] {
+            let err = parse_args(args.iter().copied()).unwrap_err();
+            assert_eq!(err.0, "unknown flag '--threads'", "{args:?}");
         }
-        match parse_args(["sweep", "--execution", "binary-heap"]).unwrap() {
-            Command::Sweep(a) => {
-                assert_eq!(a.execution, "binary-heap".parse().unwrap());
-                assert_eq!(a.threads, None, "--execution does not size the pool");
+        // Only `serial` and `memoized` are `--execution` tokens.
+        for spec in ["warp-drive", "per-channel:2", "binary-heap", "calendar"] {
+            for cmd in ["run", "bench", "sweep"] {
+                let err = parse_args([cmd, "--execution", spec]).unwrap_err();
+                assert!(
+                    err.0.starts_with("bad --execution value"),
+                    "{cmd} {spec}: {err}"
+                );
             }
+        }
+        // `mcm sweep --threads` sizes the point-level pool, apart from the
+        // per-point policy.
+        match parse_args(["sweep", "--threads", "3", "--execution", "memoized"]).unwrap() {
+            Command::Sweep(a) => {
+                assert_eq!(a.threads, Some(3));
+                assert_eq!(a.execution, memoized);
+            }
+            other => panic!("unexpected command {other:?}"),
+        }
+        match parse_args(["sweep", "--execution", "memoized"]).unwrap() {
+            Command::Sweep(a) => assert_eq!(a.threads, None, "--execution does not size the pool"),
             other => panic!("unexpected command {other:?}"),
         }
     }

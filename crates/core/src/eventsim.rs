@@ -221,21 +221,6 @@ pub fn run_event_driven_observed(
     run_event_driven_configured(exp, window, QueueKind::default(), recorder)
 }
 
-/// [`run_event_driven_observed`] driven by an
-/// [`ExecutionPolicy`](crate::ExecutionPolicy): the policy's `engine` picks
-/// the kernel event queue. (Per-channel parallelism applies to the direct
-/// frame path, not the event-driven kernel, whose single calendar of
-/// inter-channel events is inherently serial; the policy's other knobs are
-/// ignored here.)
-pub fn run_event_driven_with(
-    exp: &Experiment,
-    window: u32,
-    policy: &crate::ExecutionPolicy,
-    recorder: Option<std::sync::Arc<dyn mcm_obs::Recorder>>,
-) -> Result<EventDrivenResult, CoreError> {
-    run_event_driven_configured(exp, window, policy.engine, recorder)
-}
-
 /// [`run_event_driven_observed`] with an explicit kernel event-queue
 /// implementation — the cross-engine parity harness runs the same
 /// experiment on [`QueueKind::Calendar`] and [`QueueKind::BinaryHeap`] and

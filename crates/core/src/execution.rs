@@ -1,65 +1,37 @@
-//! The unified execution policy: *how* a run executes, as opposed to
-//! *what* it computes.
+//! The execution policy: *how* a run executes, as opposed to *what* it
+//! computes.
 //!
-//! Engine selection (calendar queue vs binary heap), intra-run per-channel
-//! parallelism and steady-state memoization used to be scattered knobs
-//! across the core, sweep, serve and CLI layers. [`ExecutionPolicy`] is the
-//! one value that carries all of them; it rides on
-//! [`RunOptions::execution`](crate::RunOptions) and is accepted everywhere a
-//! run can be launched (`RunOptions::with_execution`, `SweepOptions`, the
-//! serve JSON body's `"execution"` key, and `--execution`/`--threads` on
-//! `mcm run`/`mcm bench`/`mcm sweep`).
+//! [`ExecutionPolicy`] rides on [`RunOptions::execution`](crate::RunOptions)
+//! and is accepted everywhere a run can be launched
+//! (`RunOptions::with_execution`, `SweepOptions`, the serve JSON body's
+//! `"execution"` key, and `--execution` on `mcm run`/`mcm bench`/
+//! `mcm sweep`). Its one setting is [`ExecutionPolicy::memoize_steady`], a
+//! documented analytic approximation for multi-frame runs.
 //!
-//! Every field serializes only when it differs from the default, so a
-//! default policy round-trips to an *absent* `"execution"` key and existing
-//! sweep-cache fingerprints and result-store documents stay warm.
-//!
-//! Changing the policy never changes simulated results except for
-//! [`ExecutionPolicy::memoize_steady`], which is a documented analytic
-//! approximation: per-channel parallel execution is bit-identical to serial
-//! at any thread count, and both event queues deliver identical orderings
-//! (pinned by `engine_parity.rs`).
+//! The default policy serializes to an empty object, so the enclosing
+//! `RunOptions` drops the `"execution"` key and existing sweep-cache
+//! fingerprints and result-store documents stay warm.
 
 use std::fmt;
 use std::str::FromStr;
 
-use mcm_sim::QueueKind;
 use serde::{Deserialize, Serialize};
 
-/// Intra-run parallelism strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Parallelism {
-    /// One thread walks all channels (the default).
-    #[default]
-    Serial,
-    /// Each channel's command substream simulates on its own rayon task,
-    /// merged deterministically — bit-identical to [`Parallelism::Serial`].
-    PerChannel {
-        /// Worker threads; `0` follows `RAYON_NUM_THREADS` / the CPU count.
-        threads: usize,
-    },
-}
-
-/// How a run executes: event-queue engine, intra-run parallelism, and the
-/// steady-state memoization fast path.
+/// How a run executes: the steady-state memoization fast path, off by
+/// default.
 ///
 /// # Examples
 ///
 /// ```
-/// use mcm_core::{ExecutionPolicy, Parallelism};
+/// use mcm_core::ExecutionPolicy;
 ///
-/// let policy: ExecutionPolicy = "per-channel:4,memoized".parse().unwrap();
-/// assert_eq!(policy.parallelism, Parallelism::PerChannel { threads: 4 });
+/// let policy: ExecutionPolicy = "memoized".parse().unwrap();
 /// assert!(policy.memoize_steady);
-/// assert_eq!(policy.to_string(), "per-channel:4,memoized");
+/// assert_eq!(policy.to_string(), "memoized");
 /// assert_eq!("serial".parse::<ExecutionPolicy>().unwrap(), ExecutionPolicy::default());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ExecutionPolicy {
-    /// Event-queue implementation for event-driven runs.
-    pub engine: QueueKind,
-    /// Intra-run parallelism for the direct frame path.
-    pub parallelism: Parallelism,
     /// Price identical steady-state frames once instead of re-simulating
     /// them (multi-frame runs without a recorder only). An analytic
     /// approximation: access times of repeated frames reuse their first
@@ -68,69 +40,22 @@ pub struct ExecutionPolicy {
 }
 
 impl ExecutionPolicy {
-    /// A serial, calendar-queue, non-memoizing policy (the default).
-    pub fn serial() -> Self {
-        ExecutionPolicy::default()
-    }
-
-    /// A per-channel parallel policy on `threads` workers (`0` = auto).
-    pub fn per_channel(threads: usize) -> Self {
-        ExecutionPolicy {
-            parallelism: Parallelism::PerChannel { threads },
-            ..ExecutionPolicy::default()
-        }
-    }
-
-    /// Sets the event-queue engine (builder style).
-    pub fn with_engine(mut self, engine: QueueKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Enables or disables steady-state memoization (builder style).
     pub fn with_memoize_steady(mut self, memoize: bool) -> Self {
         self.memoize_steady = memoize;
         self
     }
-
-    /// The worker-thread count to hand the parallel submit path, or `None`
-    /// for serial execution.
-    pub fn parallel_threads(&self) -> Option<usize> {
-        match self.parallelism {
-            Parallelism::Serial => None,
-            Parallelism::PerChannel { threads } => Some(threads),
-        }
-    }
-}
-
-fn engine_name(kind: QueueKind) -> &'static str {
-    match kind {
-        QueueKind::Calendar => "calendar",
-        QueueKind::BinaryHeap => "binary-heap",
-    }
 }
 
 impl fmt::Display for ExecutionPolicy {
-    /// Renders the policy in the same comma-separated token form
-    /// [`ExecutionPolicy::from_str`] parses; the default policy renders as
-    /// `"serial"`.
+    /// Renders the policy in the token form [`ExecutionPolicy::from_str`]
+    /// parses: `"memoized"`, or `"serial"` for the default.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut tokens: Vec<String> = Vec::new();
-        match self.parallelism {
-            Parallelism::Serial => {}
-            Parallelism::PerChannel { threads: 0 } => tokens.push("per-channel".into()),
-            Parallelism::PerChannel { threads } => tokens.push(format!("per-channel:{threads}")),
-        }
-        if self.engine != QueueKind::default() {
-            tokens.push(engine_name(self.engine).into());
-        }
-        if self.memoize_steady {
-            tokens.push("memoized".into());
-        }
-        if tokens.is_empty() {
-            tokens.push("serial".into());
-        }
-        write!(f, "{}", tokens.join(","))
+        f.write_str(if self.memoize_steady {
+            "memoized"
+        } else {
+            "serial"
+        })
     }
 }
 
@@ -138,30 +63,17 @@ impl FromStr for ExecutionPolicy {
     type Err = String;
 
     /// Parses the CLI/serve spelling: comma-separated tokens among
-    /// `serial`, `per-channel`, `per-channel:<threads>`, `calendar`,
-    /// `binary-heap` and `memoized`, in any order.
+    /// `serial` and `memoized`, in any order.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut policy = ExecutionPolicy::default();
         for token in s.split(',') {
-            let token = token.trim();
-            match token {
-                "" | "serial" | "default" => policy.parallelism = Parallelism::Serial,
-                "per-channel" => policy.parallelism = Parallelism::PerChannel { threads: 0 },
-                "calendar" => policy.engine = QueueKind::Calendar,
-                "binary-heap" => policy.engine = QueueKind::BinaryHeap,
+            match token.trim() {
+                "" | "serial" | "default" => {}
                 "memoized" => policy.memoize_steady = true,
-                _ => {
-                    if let Some(n) = token.strip_prefix("per-channel:") {
-                        let threads: usize = n.parse().map_err(|_| {
-                            format!("bad thread count {n:?} in execution spec {s:?}")
-                        })?;
-                        policy.parallelism = Parallelism::PerChannel { threads };
-                    } else {
-                        return Err(format!(
-                            "unknown execution token {token:?} (expected serial, \
-                             per-channel[:N], calendar, binary-heap or memoized)"
-                        ));
-                    }
+                other => {
+                    return Err(format!(
+                        "unknown execution token {other:?} (expected serial or memoized)"
+                    ))
                 }
             }
         }
@@ -169,32 +81,14 @@ impl FromStr for ExecutionPolicy {
     }
 }
 
-// Hand-rolled serde: a flat object whose every key is elided at its default
-// value, so `ExecutionPolicy::default()` serializes as `{}` and the
-// enclosing `RunOptions` can drop the key entirely. A JSON string in the
-// `FromStr` spelling is accepted on input (the serve body takes either
-// form).
+// Hand-rolled serde: `memoize_steady` is written only when set, so
+// `ExecutionPolicy::default()` serializes as `{}` and the enclosing
+// `RunOptions` can drop the key entirely. A JSON string in the `FromStr`
+// spelling is accepted on input (the serve body takes either form), and
+// object keys other than `memoize_steady` are ignored.
 impl Serialize for ExecutionPolicy {
     fn to_value(&self) -> serde::Value {
         let mut m = serde::Map::new();
-        if self.engine != QueueKind::default() {
-            m.insert(
-                "engine".to_string(),
-                serde::Value::String(engine_name(self.engine).to_string()),
-            );
-        }
-        match self.parallelism {
-            Parallelism::Serial => {}
-            Parallelism::PerChannel { threads } => {
-                m.insert(
-                    "parallelism".to_string(),
-                    serde::Value::String("per-channel".to_string()),
-                );
-                if threads != 0 {
-                    m.insert("threads".to_string(), (threads as u64).to_value());
-                }
-            }
-        }
         if self.memoize_steady {
             m.insert("memoize_steady".to_string(), true.to_value());
         }
@@ -211,44 +105,6 @@ impl Deserialize for ExecutionPolicy {
             .as_object()
             .ok_or_else(|| serde::Error::custom("expected object or string for ExecutionPolicy"))?;
         let mut policy = ExecutionPolicy::default();
-        if let Some(engine) = obj.get("engine") {
-            let name: String = Deserialize::from_value(engine)?;
-            policy.engine = match name.as_str() {
-                "calendar" => QueueKind::Calendar,
-                "binary-heap" => QueueKind::BinaryHeap,
-                other => {
-                    return Err(serde::Error::custom(format!(
-                        "unknown engine {other:?} (expected calendar or binary-heap)"
-                    )))
-                }
-            };
-        }
-        let threads = match obj.get("threads") {
-            Some(t) => {
-                let t: u64 = Deserialize::from_value(t)?;
-                t as usize
-            }
-            None => 0,
-        };
-        match obj.get("parallelism") {
-            None => {
-                if threads != 0 {
-                    policy.parallelism = Parallelism::PerChannel { threads };
-                }
-            }
-            Some(p) => {
-                let name: String = Deserialize::from_value(p)?;
-                policy.parallelism = match name.as_str() {
-                    "serial" => Parallelism::Serial,
-                    "per-channel" => Parallelism::PerChannel { threads },
-                    other => {
-                        return Err(serde::Error::custom(format!(
-                            "unknown parallelism {other:?} (expected serial or per-channel)"
-                        )))
-                    }
-                };
-            }
-        }
         if let Some(m) = obj.get("memoize_steady") {
             policy.memoize_steady = Deserialize::from_value(m)?;
         }
@@ -261,33 +117,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_serial_calendar_unmemoized() {
-        let d = ExecutionPolicy::default();
-        assert_eq!(d.engine, QueueKind::Calendar);
-        assert_eq!(d.parallelism, Parallelism::Serial);
-        assert!(!d.memoize_steady);
-        assert_eq!(d.parallel_threads(), None);
-        assert_eq!(d, ExecutionPolicy::serial());
+    fn default_is_unmemoized() {
+        assert!(!ExecutionPolicy::default().memoize_steady);
+        assert_eq!(ExecutionPolicy::default().to_string(), "serial");
     }
 
     #[test]
     fn default_serializes_to_empty_object() {
         let v = ExecutionPolicy::default().to_value();
         assert_eq!(serde_json::to_string(&v).unwrap(), "{}");
+        let memo = ExecutionPolicy::default()
+            .with_memoize_steady(true)
+            .to_value();
+        assert_eq!(
+            serde_json::to_string(&memo).unwrap(),
+            "{\"memoize_steady\":true}"
+        );
     }
 
     #[test]
     fn round_trips_through_serde() {
-        let policies = [
+        for p in [
             ExecutionPolicy::default(),
-            ExecutionPolicy::per_channel(0),
-            ExecutionPolicy::per_channel(4),
-            ExecutionPolicy::default().with_engine(QueueKind::BinaryHeap),
-            ExecutionPolicy::per_channel(2)
-                .with_engine(QueueKind::BinaryHeap)
-                .with_memoize_steady(true),
-        ];
-        for p in policies {
+            ExecutionPolicy::default().with_memoize_steady(true),
+        ] {
             let v = p.to_value();
             let back = ExecutionPolicy::from_value(&v).unwrap();
             assert_eq!(p, back, "{v:?}");
@@ -296,14 +149,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_display_and_parse() {
-        for spec in [
-            "serial",
-            "per-channel",
-            "per-channel:4",
-            "binary-heap",
-            "per-channel:2,binary-heap,memoized",
-            "memoized",
-        ] {
+        for spec in ["serial", "memoized"] {
             let p: ExecutionPolicy = spec.parse().unwrap();
             assert_eq!(p.to_string(), spec, "canonical form of {spec:?}");
             let again: ExecutionPolicy = p.to_string().parse().unwrap();
@@ -313,39 +159,51 @@ mod tests {
 
     #[test]
     fn parse_accepts_any_token_order_and_whitespace() {
-        let a: ExecutionPolicy = "memoized, per-channel:8".parse().unwrap();
-        let b: ExecutionPolicy = "per-channel:8,memoized".parse().unwrap();
+        let a: ExecutionPolicy = "memoized, serial".parse().unwrap();
+        let b: ExecutionPolicy = "serial,memoized".parse().unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.parallel_threads(), Some(8));
+        assert!(a.memoize_steady);
     }
 
     #[test]
     fn parse_rejects_unknown_tokens() {
-        assert!("warp-speed".parse::<ExecutionPolicy>().is_err());
-        assert!("per-channel:lots".parse::<ExecutionPolicy>().is_err());
+        for bad in [
+            "warp-speed",
+            "per-channel",
+            "per-channel:2",
+            "calendar",
+            "binary-heap",
+            "memoized,binary-heap",
+        ] {
+            let err = bad.parse::<ExecutionPolicy>().unwrap_err();
+            assert!(err.contains("unknown execution token"), "{bad}: {err}");
+        }
     }
 
     #[test]
     fn deserializes_from_a_string_value() {
-        let v = serde::Value::String("per-channel:3".to_string());
+        let v = serde::Value::String("memoized".to_string());
         let p = ExecutionPolicy::from_value(&v).unwrap();
-        assert_eq!(p, ExecutionPolicy::per_channel(3));
+        assert_eq!(p, ExecutionPolicy::default().with_memoize_steady(true));
+        let bad = serde::Value::String("per-channel:3".to_string());
+        assert!(ExecutionPolicy::from_value(&bad).is_err());
     }
 
     #[test]
-    fn bare_threads_key_implies_per_channel() {
-        let v = serde_json::from_str("{\"threads\": 2}").unwrap();
-        let p = ExecutionPolicy::from_value(&v).unwrap();
-        assert_eq!(p, ExecutionPolicy::per_channel(2));
+    fn object_form_ignores_keys_it_does_not_read() {
+        let v = serde_json::from_str(
+            "{\"engine\": \"binary-heap\", \"parallelism\": \"per-channel\", \"threads\": 2}",
+        )
+        .unwrap();
+        assert_eq!(
+            ExecutionPolicy::from_value(&v).unwrap(),
+            ExecutionPolicy::default()
+        );
     }
 
     #[test]
-    fn rejects_bad_engine_and_parallelism() {
-        for bad in [
-            "{\"engine\": \"bogo\"}",
-            "{\"parallelism\": \"hyper\"}",
-            "[1, 2]",
-        ] {
+    fn rejects_non_policy_values() {
+        for bad in ["[1, 2]", "7", "{\"memoize_steady\": \"yes\"}"] {
             let v = serde_json::from_str(bad).unwrap();
             assert!(ExecutionPolicy::from_value(&v).is_err(), "{bad}");
         }

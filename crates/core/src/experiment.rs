@@ -225,12 +225,10 @@ pub struct RunOptions {
     /// event. Excluded from equality and serialization, so attaching a
     /// recorder never perturbs sweep cache fingerprints.
     pub recorder: Option<std::sync::Arc<dyn mcm_obs::Recorder>>,
-    /// How the run executes: event-queue engine, per-channel parallelism
-    /// and steady-state memoization. The default serializes to nothing, so
-    /// pre-policy cache fingerprints and store documents stay warm; a
-    /// non-default policy is part of the run's identity (memoization is an
-    /// approximation, and callers may legitimately want engine-keyed
-    /// results side by side).
+    /// How the run executes: whether steady-state frames are memoized. The
+    /// default serializes to nothing, so pre-policy cache fingerprints and
+    /// store documents stay warm; a non-default policy is part of the run's
+    /// identity (memoization is an approximation).
     pub execution: crate::ExecutionPolicy,
 }
 
@@ -363,9 +361,8 @@ impl RunOptions {
         self
     }
 
-    /// Sets the [`ExecutionPolicy`](crate::ExecutionPolicy) — engine,
-    /// per-channel parallelism, steady-state memoization — for this run
-    /// (builder style).
+    /// Sets the [`ExecutionPolicy`](crate::ExecutionPolicy) — steady-state
+    /// memoization — for this run (builder style).
     pub fn with_execution(mut self, execution: crate::ExecutionPolicy) -> Self {
         self.execution = execution;
         self
@@ -576,7 +573,6 @@ impl Experiment {
                 Some(&mut findings),
                 options.recorder.clone(),
                 options.faults.as_ref(),
-                &options.execution,
             )?;
             return Ok(RunOutcome::Verified {
                 result,
@@ -588,7 +584,6 @@ impl Experiment {
             None,
             options.recorder.clone(),
             options.faults.as_ref(),
-            &options.execution,
         )
         .map(RunOutcome::Frame)
     }
@@ -599,7 +594,6 @@ impl Experiment {
         mut verify: Option<&mut Report>,
         recorder: Option<std::sync::Arc<dyn mcm_obs::Recorder>>,
         faults: Option<&FaultPlan>,
-        execution: &crate::ExecutionPolicy,
     ) -> Result<FrameResult, CoreError> {
         let mut memory = MemorySubsystem::new(&self.memory)?;
         if verify.is_some() {
@@ -655,16 +649,6 @@ impl Experiment {
         let mut strays: Vec<(u64, u32)> = Vec::new();
         let mut stray_count = 0u64;
 
-        // Per-channel parallel execution defers submission into one batch;
-        // a degraded subsystem couples channels (remaps, arrival floors),
-        // so fault runs always take the serial path.
-        let parallel_threads = if faults.is_none() {
-            execution.parallel_threads()
-        } else {
-            None
-        };
-        let mut batch: Vec<MasterTransaction> = Vec::new();
-
         let mut simulated_bytes = 0u64;
         for (ops, op) in traffic.enumerate() {
             if let Some(limit) = self.op_limit {
@@ -706,7 +690,7 @@ impl Experiment {
                         as u64
                 }
             };
-            let txn = MasterTransaction {
+            memory.submit(MasterTransaction {
                 op: if op.write {
                     AccessOp::Write
                 } else {
@@ -715,16 +699,8 @@ impl Experiment {
                 addr: op.addr,
                 len: op.len as u64,
                 arrival,
-            };
-            if parallel_threads.is_some() {
-                batch.push(txn);
-            } else {
-                memory.submit(txn)?;
-            }
+            })?;
             simulated_bytes += op.len as u64;
-        }
-        if let Some(threads) = parallel_threads {
-            memory.submit_batch_parallel(&batch, threads)?;
         }
         // Power is averaged over the frame period; if the frame overruns,
         // over the actual access time.

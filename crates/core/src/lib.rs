@@ -53,7 +53,7 @@ pub mod tracerun;
 
 pub use builder::ExperimentBuilder;
 pub use error::CoreError;
-pub use execution::{ExecutionPolicy, Parallelism};
+pub use execution::ExecutionPolicy;
 pub use experiment::{
     ChunkPolicy, Experiment, FrameResult, Pacing, RealTimeVerdict, RunOptions, RunOutcome,
     TenantSummary,

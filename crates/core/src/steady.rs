@@ -70,7 +70,7 @@ impl SteadyStateResult {
 /// [`Experiment::run_with`] and the [`RunOutcome`](crate::RunOutcome)
 /// accessors for getting at the [`SteadyStateResult`]. Runs with the
 /// default [`ExecutionPolicy`]; use [`run_steady_state_with`] to pick
-/// parallelism or the memoizing fast path.
+/// the memoizing fast path.
 pub fn run_steady_state_observed(
     exp: &Experiment,
     model: &dyn LoadModel,
@@ -110,22 +110,19 @@ struct MemoFrame {
 
 /// [`run_steady_state_observed`] with an explicit [`ExecutionPolicy`].
 ///
-/// * `policy.parallelism` — each frame's transaction batch runs through the
-///   per-channel parallel path (bit-identical to serial at any thread
-///   count); fault-free steady sessions only, which steady runs always are.
-/// * `policy.memoize_steady` — frames whose operation stream (direction,
-///   address, length, in order) hashes identically to an already-simulated
-///   frame are *priced* from that frame's measurements instead of being
-///   re-simulated: same access time and verdict, bytes and per-event DRAM
-///   energy credited to the session total. With the paper's deterministic
-///   workload the stream recurs once the reference-frame rotation completes
-///   a period, so a long session simulates only the first rotation. This is
-///   an analytic approximation — refresh-debt drift and backlog coupling
-///   across skipped frames are ignored (a backed-up pipeline would slow
-///   repeated frames down, the memoizer reports them at their first
-///   occurrence's speed) and background energy during skipped frames is
-///   accounted as idle — so it is opt-in and disabled whenever a recorder
-///   is attached (the event stream would have gaps).
+/// With `policy.memoize_steady`, frames whose operation stream (direction,
+/// address, length, in order) hashes identically to an already-simulated
+/// frame are *priced* from that frame's measurements instead of being
+/// re-simulated: same access time and verdict, bytes and per-event DRAM
+/// energy credited to the session total. With the paper's deterministic
+/// workload the stream recurs once the reference-frame rotation completes
+/// a period, so a long session simulates only the first rotation. This is
+/// an analytic approximation — refresh-debt drift and backlog coupling
+/// across skipped frames are ignored (a backed-up pipeline would slow
+/// repeated frames down, the memoizer reports them at their first
+/// occurrence's speed) and background energy during skipped frames is
+/// accounted as idle — so it is opt-in and disabled whenever a recorder
+/// is attached (the event stream would have gaps).
 pub fn run_steady_state_with(
     exp: &Experiment,
     model: &dyn LoadModel,
@@ -195,10 +192,7 @@ pub fn run_steady_state_with(
             }
             None => {
                 let pre_event_pj = memoize.then(|| memory.event_energy_pj());
-                let done = match policy.parallel_threads() {
-                    Some(threads) => memory.submit_batch_parallel(&batch, threads)?,
-                    None => memory.submit_batch(&batch)?,
-                };
+                let done = memory.submit_batch(&batch)?;
                 let access_cycles = done.max(start) - start;
                 bytes += frame_bytes;
                 if let (Some(k), Some(pre)) = (key, pre_event_pj) {

@@ -8,13 +8,10 @@
 //! bit-identical outcomes over the paper's whole operating grid and over
 //! proptest-drawn random configurations.
 
-use std::sync::Arc;
-
 use mcm_core::eventsim::{run_event_driven_configured, EventDrivenResult};
 use mcm_core::{ChunkPolicy, ExecutionPolicy, Experiment, Pacing, RunOptions};
 use mcm_ctrl::PagePolicy;
 use mcm_load::HdOperatingPoint;
-use mcm_obs::{merge_event_streams, ObsEvent, StatsRecorder};
 use mcm_sim::QueueKind;
 use proptest::prelude::*;
 
@@ -291,57 +288,6 @@ fn idle_tail_results_match_the_recorded_bits() {
     );
 }
 
-/// Per-channel parallel execution must be bit-identical to serial at any
-/// thread count: same `FrameResult` (every field, including every f64 bit
-/// pattern — channels couple only through `max(done_cycle)` and the merge
-/// replays recorder events in the serial emission order) and the same
-/// `StatsRecorder` report, byte for byte.
-#[test]
-fn per_channel_parallelism_matches_serial_bit_for_bit() {
-    for point in LEVELS {
-        for channels in CHANNELS {
-            let e = quick(point, channels);
-            let serial_rec = Arc::new(StatsRecorder::new());
-            let serial = e.run_with(&RunOptions::default().with_recorder(serial_rec.clone()));
-            for threads in [1usize, 2, 4] {
-                let rec = Arc::new(StatsRecorder::new());
-                let par = e.run_with(
-                    &RunOptions::default()
-                        .with_recorder(rec.clone())
-                        .with_execution(ExecutionPolicy::per_channel(threads)),
-                );
-                match (&serial, &par) {
-                    (Ok(s), Ok(p)) => {
-                        let s = s.frame().unwrap();
-                        let p = p.frame().unwrap();
-                        // Debug formatting prints every field, f64s with
-                        // full precision: equality here is bit-parity.
-                        assert_eq!(
-                            format!("{s:?}"),
-                            format!("{p:?}"),
-                            "{point:?} x{channels}ch, {threads} thread(s)"
-                        );
-                        assert_eq!(
-                            serial_rec.report().to_json(),
-                            rec.report().to_json(),
-                            "{point:?} x{channels}ch, {threads} thread(s): recorder drifted"
-                        );
-                    }
-                    (Err(s), Err(p)) => assert_eq!(
-                        s.to_string(),
-                        p.to_string(),
-                        "{point:?} x{channels}ch, {threads} thread(s)"
-                    ),
-                    (s, p) => panic!(
-                        "paths diverged at {point:?} x{channels}ch, {threads} thread(s): \
-                         {s:?} vs {p:?}"
-                    ),
-                }
-            }
-        }
-    }
-}
-
 /// The memoized steady path prices recurring frames from their first
 /// occurrence instead of re-simulating them. It is a documented analytic
 /// approximation (refresh-debt drift and backlog coupling across skipped
@@ -382,72 +328,6 @@ fn memoized_steady_state_prices_frames_like_the_simulated_run() {
             (0.75..=1.25).contains(&power_ratio),
             "{channels}ch: memoized power drifted {power_ratio}"
         );
-    }
-}
-
-/// Rebuild an `ObsEvent` stream element from proptest-drawn scalars. The
-/// variant mix covers timestamped, untimestamped and channel-less events,
-/// which exercise every arm of the merge key.
-fn event_from(ts: u64, ch: u32, payload: u64) -> ObsEvent {
-    match payload % 4 {
-        0 => ObsEvent::Latency {
-            channel: ch,
-            latency_ps: payload,
-        },
-        1 => ObsEvent::Bytes {
-            channel: ch,
-            write: payload.is_multiple_of(3),
-            bytes: payload,
-            at_ps: ts,
-        },
-        2 => ObsEvent::QueueDepth {
-            channel: ch,
-            depth: payload,
-        },
-        _ => ObsEvent::Energy {
-            channel: ch,
-            kind: mcm_obs::CommandKind::Read,
-            pj: payload as f64,
-            at_ps: ts,
-        },
-    }
-}
-
-proptest! {
-    /// `merge_event_streams` is a stable sort by `(timestamp, channel,
-    /// sequence)`: permuting the order the per-channel streams are handed
-    /// in never changes the merged output.
-    #[test]
-    fn merge_is_invariant_under_stream_permutation(
-        raw in prop::collection::vec((0u64..40, 0u32..6, any::<u64>()), 0..80),
-        seed in any::<u64>(),
-    ) {
-        // Partition the drawn events into one stream per channel, in
-        // channel order — the canonical presentation.
-        let mut streams: Vec<Vec<ObsEvent>> = (0..6).map(|_| Vec::new()).collect();
-        for &(ts, ch, payload) in &raw {
-            streams[ch as usize].push(event_from(ts, ch, payload));
-        }
-        let reference = merge_event_streams(streams.clone());
-
-        // Fisher–Yates with a seeded LCG: a deterministic, proptest-drawn
-        // permutation of the stream order.
-        let mut shuffled = streams;
-        let mut state = seed | 1;
-        for i in (1..shuffled.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            shuffled.swap(i, j);
-        }
-        prop_assert_eq!(&merge_event_streams(shuffled), &reference);
-
-        // And the merged order itself follows the calendar-queue tiebreak:
-        // keys are non-decreasing.
-        let keys: Vec<(u64, u64)> = reference
-            .iter()
-            .map(|e| (e.timestamp_ps(), e.channel().map_or(u64::MAX, u64::from)))
-            .collect();
-        prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 }
 

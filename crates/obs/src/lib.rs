@@ -44,7 +44,6 @@
 mod counters;
 mod histogram;
 mod recorder;
-mod replay;
 mod stats;
 mod timeline;
 mod trace;
@@ -52,7 +51,6 @@ mod trace;
 pub use counters::{BankCounters, ChannelCounters, CommandCounters, RowOutcomeCounters};
 pub use histogram::{HistogramSummary, LogHistogram, BUCKETS};
 pub use recorder::{ChannelObs, CommandKind, FaultKind, NullRecorder, Recorder, RowOutcome};
-pub use replay::{merge_event_streams, EventLog, ObsEvent};
 pub use stats::{
     BankObsReport, ChannelObsReport, EnergyBreakdown, FaultCount, GaugeSample, KernelObsReport,
     ObsConfig, ObsReport, ObsSummary, StatsRecorder, TenantObsReport,

@@ -682,21 +682,19 @@ mod tests {
 
     #[test]
     fn execution_policy_parses_as_string_or_object() {
+        let memoized = ExecutionPolicy::default().with_memoize_steady(true);
+        let run =
+            parse_run_options(&serde_json::json!({ "run": { "execution": "memoized" } })).unwrap();
+        assert_eq!(run.execution, memoized);
         let run = parse_run_options(
-            &serde_json::json!({ "run": { "execution": "per-channel:2,memoized" } }),
+            &serde_json::json!({ "run": { "execution": { "memoize_steady": true } } }),
         )
         .unwrap();
-        assert_eq!(
-            run.execution,
-            ExecutionPolicy::per_channel(2).with_memoize_steady(true)
-        );
-        let run = parse_run_options(
-            &serde_json::json!({ "run": { "execution": { "parallelism": "per-channel", "threads": 4 } } }),
-        )
-        .unwrap();
-        assert_eq!(run.execution, ExecutionPolicy::per_channel(4));
-        let e = parse_run_options(&serde_json::json!({ "run": { "execution": "warp-drive" } }))
-            .unwrap_err();
-        assert!(e.contains("bad `run.execution`"), "{e}");
+        assert_eq!(run.execution, memoized);
+        for bad in ["warp-drive", "per-channel:2", "calendar", "binary-heap"] {
+            let e =
+                parse_run_options(&serde_json::json!({ "run": { "execution": bad } })).unwrap_err();
+            assert!(e.contains("bad `run.execution`"), "{bad}: {e}");
+        }
     }
 }

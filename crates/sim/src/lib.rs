@@ -14,9 +14,7 @@
 //!   cycles).
 //! * [`Simulation`] / [`Component`] / [`Ctx`] — a deterministic event queue
 //!   delivering timestamped messages between registered components.
-//! * [`stats`] — counters, running scalars, state-residency tracking (the
-//!   basis of DRAM background-power accounting) and latency histograms.
-//! * [`trace`] — an optional bounded command trace for debugging and tests.
+//! * [`stats`] — the controller's per-request latency histogram.
 //!
 //! # Examples
 //!
@@ -36,7 +34,6 @@ mod engine;
 mod queue;
 pub mod stats;
 mod time;
-pub mod trace;
 
 pub use engine::{Component, ComponentId, Ctx, SimError, Simulation};
 pub use queue::QueueKind;

@@ -1,212 +1,7 @@
-//! Lightweight statistics primitives used by the memory-system models:
-//! event counters, running scalar statistics, time-weighted state residency,
-//! and fixed-bucket latency histograms.
-
-use core::fmt;
+//! The fixed-bucket latency histogram the memory controller keeps for
+//! every request (the source of its p99 latency).
 
 use crate::time::SimTime;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use mcm_sim::stats::Counter;
-///
-/// let mut reads = Counter::new("reads");
-/// reads.add(3);
-/// reads.inc();
-/// assert_eq!(reads.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one to the counter.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    #[inline]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
-
-/// Running min/max/mean over a stream of `f64` samples (Welford mean).
-#[derive(Debug, Clone, Default)]
-pub struct Scalar {
-    count: u64,
-    mean: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Scalar {
-    /// Creates an empty statistic.
-    pub fn new() -> Self {
-        Scalar::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.mean += (x - self.mean) / self.count as f64;
-    }
-
-    /// Number of samples recorded.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or `None` before any sample.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Minimum sample, or `None` before any sample.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum sample, or `None` before any sample.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
-/// Tracks how long a model spends in each of a small fixed set of states —
-/// the backbone of the DRAM background-power accounting (standby vs.
-/// power-down residency).
-///
-/// States are indexed `0..N`. Residency is closed out lazily: call
-/// [`StateResidency::switch`] on every transition and
-/// [`StateResidency::finish`] once at the end of the simulation.
-///
-/// # Examples
-///
-/// ```
-/// use mcm_sim::stats::StateResidency;
-/// use mcm_sim::SimTime;
-///
-/// let mut r = StateResidency::<2>::new(0, SimTime::ZERO);
-/// r.switch(1, SimTime::from_ns(40));
-/// r.finish(SimTime::from_ns(100));
-/// assert_eq!(r.time_in(0), SimTime::from_ns(40));
-/// assert_eq!(r.time_in(1), SimTime::from_ns(60));
-/// ```
-#[derive(Debug, Clone)]
-pub struct StateResidency<const N: usize> {
-    current: usize,
-    since: SimTime,
-    total: [SimTime; N],
-    finished: bool,
-}
-
-impl<const N: usize> StateResidency<N> {
-    /// Starts tracking in `initial` state at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial >= N`.
-    pub fn new(initial: usize, at: SimTime) -> Self {
-        assert!(initial < N, "state index {initial} out of range 0..{N}");
-        StateResidency {
-            current: initial,
-            since: at,
-            total: [SimTime::ZERO; N],
-            finished: false,
-        }
-    }
-
-    /// The state being accumulated right now.
-    #[inline]
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
-    /// Switches to `state` at time `at`, closing out the previous interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state >= N`, if `at` precedes the last transition, or if
-    /// the tracker was already finished.
-    pub fn switch(&mut self, state: usize, at: SimTime) {
-        assert!(state < N, "state index {state} out of range 0..{N}");
-        assert!(!self.finished, "residency tracker already finished");
-        assert!(
-            at >= self.since,
-            "residency switch going backwards: {} < {}",
-            at,
-            self.since
-        );
-        self.total[self.current] += at - self.since;
-        self.current = state;
-        self.since = at;
-    }
-
-    /// Closes the final interval at `at`. Further switches panic.
-    pub fn finish(&mut self, at: SimTime) {
-        assert!(!self.finished, "residency tracker already finished");
-        assert!(at >= self.since, "finish time precedes last switch");
-        self.total[self.current] += at - self.since;
-        self.since = at;
-        self.finished = true;
-    }
-
-    /// Total time accumulated in `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state >= N`.
-    pub fn time_in(&self, state: usize) -> SimTime {
-        self.total[state]
-    }
-
-    /// Sum of the residencies over all states.
-    pub fn total_tracked(&self) -> SimTime {
-        self.total.iter().fold(SimTime::ZERO, |acc, &t| acc + t)
-    }
-}
 
 /// A latency histogram with logarithmic (power-of-two nanosecond) buckets.
 ///
@@ -292,53 +87,6 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.inc();
-        c.add(10);
-        assert_eq!(c.value(), 11);
-        assert_eq!(c.to_string(), "x = 11");
-    }
-
-    #[test]
-    fn scalar_tracks_min_max_mean() {
-        let mut s = Scalar::new();
-        assert_eq!(s.mean(), None);
-        for x in [2.0, 4.0, 6.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert!((s.mean().unwrap() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(6.0));
-    }
-
-    #[test]
-    fn residency_partitions_time() {
-        let mut r = StateResidency::<3>::new(0, SimTime::from_ns(10));
-        r.switch(2, SimTime::from_ns(30));
-        r.switch(1, SimTime::from_ns(30)); // zero-length stay is fine
-        r.finish(SimTime::from_ns(100));
-        assert_eq!(r.time_in(0), SimTime::from_ns(20));
-        assert_eq!(r.time_in(2), SimTime::ZERO);
-        assert_eq!(r.time_in(1), SimTime::from_ns(70));
-        assert_eq!(r.total_tracked(), SimTime::from_ns(90));
-    }
-
-    #[test]
-    #[should_panic(expected = "going backwards")]
-    fn residency_rejects_backwards_switch() {
-        let mut r = StateResidency::<2>::new(0, SimTime::from_ns(10));
-        r.switch(1, SimTime::from_ns(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn residency_rejects_bad_state() {
-        let _ = StateResidency::<2>::new(2, SimTime::ZERO);
-    }
 
     #[test]
     fn histogram_mean_and_quantiles() {

@@ -407,18 +407,6 @@ pub(crate) fn collect_stats(points: &[PointOutcome], wall: Duration) -> SweepSta
     stats
 }
 
-/// Deprecated thin wrapper over [`run_sweep_on`] with a private
-/// single-job [`RayonExecutor`]. Kept only for source compatibility;
-/// byte-identity with the replacement is pinned in
-/// `tests/determinism.rs`.
-#[deprecated(
-    since = "0.1.0",
-    note = "call run_sweep_on(&RayonExecutor::default(), spec, options)"
-)]
-pub fn run_sweep(spec: &SweepSpec, options: &SweepOptions) -> Result<SweepResult, SweepError> {
-    run_sweep_on(&RayonExecutor::default(), spec, options)
-}
-
 /// The sweep entry point: expands `spec` and executes every point under
 /// `options` on a caller-supplied [`Executor`] — submit one job, block on
 /// its outcomes, fold them back into a [`SweepResult`]. Pass
@@ -804,23 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn per_channel_execution_matches_serial_byte_for_byte() {
-        // The point-level parallel policy must not perturb any exported
-        // number; only provenance (wall clock) may differ.
-        let exec = RayonExecutor::default();
-        let serial = run_sweep_on(&exec, &quick_spec(), &SweepOptions::default()).unwrap();
-        let parallel = run_sweep_on(
-            &exec,
-            &quick_spec(),
-            &SweepOptions::default().with_execution(ExecutionPolicy::per_channel(2)),
-        )
-        .unwrap();
-        assert_eq!(serial.to_json(), parallel.to_json());
-        assert_eq!(serial.to_csv(), parallel.to_csv());
-        assert_eq!(parallel.stats.simulated, 3);
-    }
-
-    #[test]
     fn execution_policy_changes_the_cache_key_only_when_meaningful() {
         // Default-policy sweeps must hit cache entries written before the
         // `execution` field existed (the default serializes to nothing),
@@ -837,13 +808,13 @@ mod tests {
         assert_eq!(warm.stats.cached, 3);
         assert_eq!(cold.to_json(), warm.to_json());
 
-        // A per-channel policy produces identical numbers, and shares the
-        // serial entries only if its serialization differs — it does, so
-        // the points key apart and simulate fresh.
-        let par = options
+        // A memoizing policy serializes differently, so the points key
+        // apart and simulate fresh; memoization only touches multi-frame
+        // runs, so these single-frame points export identical numbers.
+        let memo = options
             .clone()
-            .with_execution(ExecutionPolicy::per_channel(2));
-        let fresh = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &par).unwrap();
+            .with_execution(ExecutionPolicy::default().with_memoize_steady(true));
+        let fresh = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &memo).unwrap();
         assert_eq!(fresh.stats.simulated, 3);
         assert_eq!(fresh.to_json(), cold.to_json());
         let _ = std::fs::remove_dir_all(dir);

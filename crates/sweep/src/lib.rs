@@ -14,8 +14,7 @@
 //! * [`run_sweep_on`] — the single entry point: one job submitted to a
 //!   caller-supplied executor, collected, and folded back into
 //!   **expansion-order** results with live progress and per-point timing
-//!   — the same machinery `mcm serve` drives asynchronously. The old
-//!   zero-executor `run_sweep` wrapper is deprecated;
+//!   — the same machinery `mcm serve` drives asynchronously;
 //! * [`run_sweep_shard_on`] / [`merge_shards`] — distributed sweeps:
 //!   [`SweepSpec::shard`] splits the grid deterministically, each shard
 //!   runs anywhere, and the merge is byte-identical to the unsharded run;
@@ -60,8 +59,6 @@ mod spec;
 
 pub use cache::{PointRecord, ResultCache};
 pub use checkpoint::CheckpointLog;
-#[allow(deprecated)]
-pub use engine::run_sweep;
 pub use engine::{
     run_sweep_on, ParallelRunner, PointOutcome, SweepOptions, SweepResult, SweepStats,
 };

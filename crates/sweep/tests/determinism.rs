@@ -8,8 +8,6 @@
 use std::path::PathBuf;
 
 use mcm_load::HdOperatingPoint;
-#[allow(deprecated)]
-use mcm_sweep::run_sweep;
 use mcm_sweep::{run_sweep_on, RayonExecutor, SweepOptions, SweepSpec};
 
 fn quick_grid() -> SweepSpec {
@@ -192,15 +190,17 @@ fn isolated_failures_do_not_kill_the_sweep() {
 
 #[test]
 fn caller_supplied_executor_exports_byte_identically() {
-    // The deprecated `run_sweep` is a thin wrapper over `run_sweep_on`;
-    // the service hands in its own long-lived executor. Whichever
-    // executor carries the jobs — and however many may run concurrently —
-    // the export is the same bytes.
+    // The stock single-job executor is the reference; the service hands
+    // in its own long-lived executor. Whichever executor carries the jobs
+    // — and however many may run concurrently — the export is the same
+    // bytes.
     let spec = quick_grid();
-    // This is the one site allowed to call the wrapper: it pins the
-    // wrapper's equivalence to `run_sweep_on` itself.
-    #[allow(deprecated)] // deprecation-ok
-    let reference = run_sweep(&spec, &SweepOptions::default().with_threads(2)).unwrap();
+    let reference = run_sweep_on(
+        &RayonExecutor::default(),
+        &spec,
+        &SweepOptions::default().with_threads(2),
+    )
+    .unwrap();
 
     let executor = RayonExecutor::new(4);
     let via_executor =

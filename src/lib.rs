@@ -10,7 +10,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`sim`] | discrete-event kernel, time/clock arithmetic, statistics |
+//! | [`sim`] | discrete-event kernel, time/clock arithmetic, latency histogram |
 //! | [`dram`] | the next-generation mobile DDR SDRAM device model |
 //! | [`ctrl`] | the per-channel memory controller |
 //! | [`channel`] | Table II interleaving, the M-channel subsystem, clusters |
@@ -43,11 +43,8 @@
 // The run/sweep API surface, re-exported at the root so downstream code
 // can write `mcm::RunOptions` without spelling out the member crate.
 pub use mcm_core::{
-    CoreError, ExecutionPolicy, Experiment, ExperimentBuilder, FrameResult, Parallelism,
-    RunOptions, RunOutcome,
+    CoreError, ExecutionPolicy, Experiment, ExperimentBuilder, FrameResult, RunOptions, RunOutcome,
 };
-#[allow(deprecated)]
-pub use mcm_sweep::run_sweep;
 pub use mcm_sweep::{run_sweep_on, RayonExecutor, SweepOptions, SweepResult, SweepSpec};
 
 pub use mcm_analyze as analyze;
@@ -71,7 +68,7 @@ pub mod prelude {
     };
     pub use mcm_core::{
         ChunkPolicy, CoreError, ExecutionPolicy, Experiment, ExperimentBuilder, FrameResult,
-        Pacing, Parallelism, RealTimeVerdict, RunOptions, RunOutcome,
+        Pacing, RealTimeVerdict, RunOptions, RunOutcome,
     };
     pub use mcm_ctrl::{
         AccessOp, ChannelRequest, Controller, ControllerConfig, PagePolicy, PowerDownPolicy,
@@ -88,8 +85,6 @@ pub mod prelude {
     pub use mcm_obs::{NullRecorder, ObsConfig, ObsReport, ObsSummary, Recorder, StatsRecorder};
     pub use mcm_power::{BondingTechnique, InterfacePowerModel, PowerSummary, XdrReference};
     pub use mcm_sim::{ClockDomain, Frequency, QueueKind, SimTime};
-    #[allow(deprecated)]
-    pub use mcm_sweep::run_sweep;
     pub use mcm_sweep::{
         run_sweep_on, ParallelRunner, PointOutcome, RayonExecutor, SweepOptions, SweepResult,
         SweepSpec,
