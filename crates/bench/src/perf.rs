@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use mcm_core::eventsim::run_event_driven_configured;
-use mcm_core::{ChunkPolicy, ExecutionPolicy, Experiment, FrameResult, RunOptions};
+use mcm_core::{ChunkPolicy, Experiment, FrameResult, RunOptions};
 use mcm_load::HdOperatingPoint;
 use mcm_sim::QueueKind;
 use mcm_sweep::{
@@ -53,10 +53,6 @@ pub struct BenchConfig {
     pub warmup: u32,
     /// Measured runs per scenario.
     pub repeats: u32,
-    /// Execution policy applied to the direct and steady scenarios. The
-    /// memoized steady scenario is always measured on top, whatever this is
-    /// set to.
-    pub execution: ExecutionPolicy,
 }
 
 impl BenchConfig {
@@ -67,7 +63,6 @@ impl BenchConfig {
             quick: false,
             warmup: 1,
             repeats: 5,
-            execution: ExecutionPolicy::default(),
         }
     }
 
@@ -78,20 +73,12 @@ impl BenchConfig {
             quick: true,
             warmup: 1,
             repeats: 3,
-            execution: ExecutionPolicy::default(),
         }
     }
 
     /// Overrides the measured repeat count (builder style; min 1).
     pub fn with_repeats(mut self, repeats: u32) -> Self {
         self.repeats = repeats.max(1);
-        self
-    }
-
-    /// Overrides the execution policy of the base scenarios (builder
-    /// style); `mcm bench --execution` lands here.
-    pub fn with_execution(mut self, execution: ExecutionPolicy) -> Self {
-        self.execution = execution;
         self
     }
 }
@@ -243,17 +230,6 @@ fn paper_exp(point: HdOperatingPoint, channels: u32, op_limit: Option<u64>) -> E
     e
 }
 
-/// Scenario-name suffix identifying a non-default execution policy, e.g.
-/// `" [memoized]"`. Empty for the serial default so existing
-/// baseline scenario names stay stable.
-fn policy_suffix(policy: &ExecutionPolicy) -> String {
-    if *policy == ExecutionPolicy::default() {
-        String::new()
-    } else {
-        format!(" [{policy}]")
-    }
-}
-
 /// Times the direct path (one full `run_with` frame). The probe run that
 /// establishes the work count doubles as the first warmup.
 fn direct_measurement(
@@ -263,12 +239,7 @@ fn direct_measurement(
     op_limit: Option<u64>,
 ) -> Result<Measurement, String> {
     let e = paper_exp(point, channels, op_limit);
-    let name = format!(
-        "{} x{}ch direct{}",
-        point_label(point),
-        channels,
-        policy_suffix(&cfg.execution)
-    );
+    let name = format!("{} x{}ch direct", point_label(point), channels);
     direct_measurement_on(cfg, &e, name)
 }
 
@@ -279,9 +250,8 @@ fn direct_measurement_on(
     e: &Experiment,
     name: String,
 ) -> Result<Measurement, String> {
-    let opts = RunOptions::default().with_execution(cfg.execution);
     let frame = |e: &Experiment| {
-        e.run_with(&opts)
+        e.run_with(&RunOptions::default())
             .map(|o| o.into_frame().expect("single-frame outcome"))
     };
     let probe = frame(e).map_err(|err| err.to_string())?;
@@ -323,9 +293,8 @@ fn event_driven_measurement(
 /// Times a multi-frame steady-state session.
 fn steady_measurement(cfg: &BenchConfig, frames: u32) -> Result<Measurement, String> {
     let e = paper_exp(HdOperatingPoint::Hd1080p30, 4, Some(50_000));
-    let opts = RunOptions::steady(frames).with_execution(cfg.execution);
     let run = |e: &Experiment| {
-        e.run_with(&opts)
+        e.run_with(&RunOptions::steady(frames))
             .map(|o| o.into_steady().expect("steady outcome"))
     };
     let probe = run(&e).map_err(|err| err.to_string())?;
@@ -333,10 +302,7 @@ fn steady_measurement(cfg: &BenchConfig, frames: u32) -> Result<Measurement, Str
         run(&e).expect("probe run succeeded")
     });
     Ok(summarize(
-        format!(
-            "1080p30 x4ch steady {frames} frames{}",
-            policy_suffix(&cfg.execution)
-        ),
+        format!("1080p30 x4ch steady {frames} frames"),
         "steady",
         probe.bytes,
         "bytes",
@@ -532,10 +498,9 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
                 mcm_dram::Geometry::large_capacity_mobile_ddr();
             if !mcm_analyze::lint_footprint(&big.use_case, &big.memory).has_errors() {
                 let name = format!(
-                    "{} x{}ch direct (large-capacity){}",
+                    "{} x{}ch direct (large-capacity)",
                     point_label(point),
-                    channels,
-                    policy_suffix(&cfg.execution)
+                    channels
                 );
                 match direct_measurement_on(cfg, &big, name) {
                     Ok(m) => scenarios.push(m),
@@ -559,19 +524,6 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
     }
 
     scenarios.push(steady_measurement(cfg, if cfg.quick { 2 } else { 4 })?);
-
-    // Steady-state memoization: enough frames that the per-(stage, config)
-    // command streams recur (the reference-slot rotation wraps) and the
-    // memo actually prices frames instead of re-simulating them.
-    let memo_cfg = BenchConfig {
-        execution: cfg.execution.with_memoize_steady(true),
-        ..*cfg
-    };
-    let memo_frames = if cfg.quick { 8 } else { 16 };
-    match steady_measurement(&memo_cfg, memo_frames) {
-        Ok(m) => scenarios.push(m),
-        Err(e) => skipped.push(format!("1080p30 x4ch steady memoized: {e}")),
-    }
 
     scenarios.push(sweep_measurement(cfg)?);
     scenarios.push(sweep_sharded_measurement(cfg)?);
@@ -677,7 +629,6 @@ mod tests {
             quick: true,
             warmup: 0,
             repeats: 1,
-            execution: ExecutionPolicy::default(),
         }
     }
 

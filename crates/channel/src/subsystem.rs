@@ -562,18 +562,6 @@ impl MemorySubsystem {
         Ok(done)
     }
 
-    /// Total per-event (activate/burst/refresh) DRAM energy accrued so far
-    /// across all channels, picojoules. Unlike [`Self::finish`] this is a
-    /// pure read — no idle housekeeping runs — which makes it usable as a
-    /// between-frames energy meter (the steady-state memoizer prices each
-    /// unique frame by the delta of this quantity).
-    pub fn event_energy_pj(&self) -> f64 {
-        self.controllers
-            .iter()
-            .map(|c| c.device().event_energy_pj())
-            .sum()
-    }
-
     /// Cycle at which all channels have drained.
     pub fn busy_until(&self) -> u64 {
         self.controllers

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use mcm_core::{ChunkPolicy, ExecutionPolicy, Pacing};
+use mcm_core::{ChunkPolicy, Pacing};
 use mcm_ctrl::{PagePolicy, PowerDownPolicy};
 use mcm_dram::AddressMapping;
 use mcm_load::{HdOperatingPoint, Workload};
@@ -209,8 +209,6 @@ pub struct BenchArgs {
     /// Prior report to gate against: fail on a >20% headline events/sec
     /// regression.
     pub baseline: Option<String>,
-    /// Execution policy applied to the base scenarios (`--execution <spec>`).
-    pub execution: ExecutionPolicy,
 }
 
 impl Default for BenchArgs {
@@ -220,7 +218,6 @@ impl Default for BenchArgs {
             out: "BENCH_sim.json".to_string(),
             repeats: None,
             baseline: None,
-            execution: ExecutionPolicy::default(),
         }
     }
 }
@@ -277,9 +274,6 @@ pub struct SweepArgs {
     /// Statically prune infeasible points before simulating
     /// (`SweepOptions::prelint`).
     pub prelint: bool,
-    /// Per-point execution policy (`--execution <spec>`). Point-level,
-    /// distinct from `--threads` which sizes the sweep worker pool.
-    pub execution: ExecutionPolicy,
     /// Run only shard `index` of `of` (`--shard i/n`, 0-based). Shard
     /// result files are JSON-only and recombine with `--merge`.
     pub shard: Option<(usize, usize)>,
@@ -320,7 +314,6 @@ impl Default for SweepArgs {
             output: OutputFormat::Text,
             progress: false,
             prelint: false,
-            execution: ExecutionPolicy::default(),
             shard: None,
             checkpoint: None,
             resume: None,
@@ -363,8 +356,6 @@ pub struct RunOptions {
     pub faults: Option<String>,
     /// Cap on simulated operations (None = the whole frame).
     pub op_limit: Option<u64>,
-    /// How the run executes (`--execution <spec>`).
-    pub execution: ExecutionPolicy,
 }
 
 impl Default for RunOptions {
@@ -385,7 +376,6 @@ impl Default for RunOptions {
             verify: false,
             faults: None,
             op_limit: None,
-            execution: ExecutionPolicy::default(),
         }
     }
 }
@@ -518,11 +508,6 @@ fn parse_run_options<'a>(mut args: impl Iterator<Item = &'a str>) -> Result<RunO
                         .parse()
                         .map_err(|_| CliError("bad --op-limit value".into()))?,
                 )
-            }
-            "--execution" => {
-                opts.execution = value()?
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --execution value: {e}")))?
             }
             other => return Err(CliError(format!("unknown flag '{other}'"))),
         }
@@ -723,11 +708,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     }
                     "--progress" => a.progress = true,
                     "--prelint" => a.prelint = true,
-                    "--execution" => {
-                        a.execution = value()?
-                            .parse()
-                            .map_err(|e| CliError(format!("bad --execution value: {e}")))?
-                    }
                     "--shard" => {
                         let v = value()?;
                         let parsed = v
@@ -806,11 +786,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                         )
                     }
                     "--baseline" => a.baseline = Some(value()?.to_string()),
-                    "--execution" => {
-                        a.execution = value()?
-                            .parse()
-                            .map_err(|e| CliError(format!("bad --execution value: {e}")))?
-                    }
                     other => return Err(CliError(format!("unknown flag '{other}'"))),
                 }
             }
@@ -963,10 +938,9 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     i += 1;
                 }
             }
-            Ok(Command::Steady {
-                options: parse_run_options(filtered.into_iter())?,
-                frames,
-            })
+            let options = parse_run_options(filtered.into_iter())?;
+            ensure_output("steady", options.output, &[])?;
+            Ok(Command::Steady { options, frames })
         }
         other => Err(CliError(format!(
             "unknown command '{other}' (try 'mcm help')"
@@ -1029,8 +1003,6 @@ OPTIONS (run / headroom):
     --verify    run the MCMxxx conformance checks too   [off]
     --faults <plan.json>  inject a fault plan (see 'mcm fault')  [healthy]
     --op-limit <N>        cap simulated ops            [full frame]
-    --execution <spec>    execution policy: comma list of
-                          serial | memoized             [serial]
     --json                                             [text]
 
 FAULT OPTIONS:
@@ -1056,8 +1028,6 @@ BENCH OPTIONS:
     --repeats <N>       measured repeats per scenario    [5, quick: 3]
     --baseline <path>   fail on >20% headline events/sec regression
                         against a prior report           [no gate]
-    --execution <spec>  execution policy for the base scenarios
-                        (see run OPTIONS)                [serial]
 
 SERVE OPTIONS:
     --addr <host:port>  bind address (port 0 = ephemeral)  [127.0.0.1:7700]
@@ -1076,8 +1046,6 @@ SWEEP OPTIONS (defaults: the paper grid — five formats x 1,2,4,8 channels):
     --progress        per-point progress on stderr     [off]
     --prelint         statically prune infeasible points before
                       simulating (MCM4xx analysis)     [off]
-    --execution <spec> per-point execution policy (see run OPTIONS);
-                      point-level, unlike --threads    [serial]
     --shard <i/n>     run only shard i of n (0-based, deterministic
                       split of the expanded grid; --json only)  [whole grid]
     --merge <files...> merge shard result files into the unsharded
@@ -1105,17 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn execution_policy_flags() {
-        let memoized = ExecutionPolicy::default().with_memoize_steady(true);
-        match parse_args(["run", "--execution", "memoized"]).unwrap() {
-            Command::Run(o) => assert_eq!(o.execution, memoized),
-            other => panic!("unexpected command {other:?}"),
-        }
-        match parse_args(["bench", "--quick", "--execution", "memoized"]).unwrap() {
-            Command::Bench(a) => assert_eq!(a.execution, memoized),
-            other => panic!("unexpected command {other:?}"),
-        }
-        // `--threads` sizes only the sweep and serve pools; run and bench refuse it.
+    fn threads_sizes_only_the_sweep_and_serve_pools() {
         for args in [
             &["run", "--threads", "4"][..],
             &["steady", "--threads", "4"][..],
@@ -1124,28 +1082,37 @@ mod tests {
             let err = parse_args(args.iter().copied()).unwrap_err();
             assert_eq!(err.0, "unknown flag '--threads'", "{args:?}");
         }
-        // Only `serial` and `memoized` are `--execution` tokens.
-        for spec in ["warp-drive", "per-channel:2", "binary-heap", "calendar"] {
-            for cmd in ["run", "bench", "sweep"] {
-                let err = parse_args([cmd, "--execution", spec]).unwrap_err();
-                assert!(
-                    err.0.starts_with("bad --execution value"),
-                    "{cmd} {spec}: {err}"
-                );
-            }
-        }
-        // `mcm sweep --threads` sizes the point-level pool, apart from the
-        // per-point policy.
-        match parse_args(["sweep", "--threads", "3", "--execution", "memoized"]).unwrap() {
-            Command::Sweep(a) => {
-                assert_eq!(a.threads, Some(3));
-                assert_eq!(a.execution, memoized);
-            }
+        match parse_args(["sweep", "--threads", "3"]).unwrap() {
+            Command::Sweep(a) => assert_eq!(a.threads, Some(3)),
             other => panic!("unexpected command {other:?}"),
         }
-        match parse_args(["sweep", "--execution", "memoized"]).unwrap() {
-            Command::Sweep(a) => assert_eq!(a.threads, None, "--execution does not size the pool"),
-            other => panic!("unexpected command {other:?}"),
+    }
+
+    #[test]
+    fn no_command_takes_an_execution_policy() {
+        for cmd in [
+            "run",
+            "check",
+            "lint",
+            "headroom",
+            "profile",
+            "config-dump",
+            "timeline",
+            "report",
+            "steady",
+            "trace-dump",
+            "trace-run",
+            "sweep",
+            "bench",
+        ] {
+            let mut args = vec![cmd, "--execution", "memoized"];
+            if cmd == "trace-dump" {
+                args.extend(["--out", "ops.trace"]);
+            } else if cmd == "trace-run" {
+                args.extend(["--in", "ops.trace"]);
+            }
+            let err = parse_args(args).unwrap_err();
+            assert_eq!(err.0, "unknown flag '--execution'", "{cmd}");
         }
     }
 
@@ -1565,9 +1532,11 @@ mod tests {
             assert!(e.contains("does not support --trace"), "{cmd}: {e}");
         }
         // Text-only commands refuse every machine format loudly.
-        for cmd in ["headroom", "profile", "config-dump"] {
-            let e = parse_args([cmd, "--json"]).unwrap_err().to_string();
-            assert!(e.contains("text output only"), "{cmd}: {e}");
+        for cmd in ["headroom", "profile", "config-dump", "steady"] {
+            for format in ["--json", "--csv", "--trace"] {
+                let e = parse_args([cmd, format]).unwrap_err().to_string();
+                assert!(e.contains("text output only"), "{cmd} {format}: {e}");
+            }
         }
         // sweep exports JSON and CSV but has no trace renderer.
         let e = parse_args(["sweep", "--trace"]).unwrap_err().to_string();

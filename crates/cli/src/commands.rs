@@ -80,7 +80,6 @@ fn run_one(o: &RunOptions) -> Result<String, CliError> {
     let run = mcm_core::RunOptions {
         verify: o.verify,
         faults,
-        execution: o.execution,
         ..mcm_core::RunOptions::default()
     };
     let (r, findings) = if o.verify {
@@ -518,7 +517,6 @@ fn run_bench_cmd(a: &crate::args::BenchArgs) -> Result<String, CliError> {
     if let Some(repeats) = a.repeats {
         cfg = cfg.with_repeats(repeats);
     }
-    cfg = cfg.with_execution(a.execution);
     let report = perf::run_bench(&cfg).map_err(|e| CliError(format!("bench failed: {e}")))?;
     let json = serde_json::to_string_pretty(&report)
         .map_err(|e| CliError(format!("bench report serialization failed: {e}")))?;
@@ -559,8 +557,7 @@ fn run_sweep_cmd(a: &SweepArgs) -> Result<String, CliError> {
         progress: a.progress,
         prelint: a.prelint,
         ..mcm_sweep::SweepOptions::default()
-    }
-    .with_execution(a.execution);
+    };
     // `--checkpoint` creates-or-extends, `--resume` insists the log is
     // already there; both bind the log to the *full* spec, so a sharded
     // run shares one log with its siblings.
@@ -570,7 +567,7 @@ fn run_sweep_cmd(a: &SweepArgs) -> Result<String, CliError> {
         _ => None,
     };
     if let Some((path, must_exist)) = log {
-        let log = mcm_sweep::CheckpointLog::attach(path, &spec, &a.execution, must_exist)
+        let log = mcm_sweep::CheckpointLog::attach(path, &spec, must_exist)
             .map_err(|e| CliError(e.to_string()))?;
         options = options.with_checkpoint(log);
     }
@@ -921,11 +918,18 @@ fn trace_run(o: &RunOptions, input: &str) -> Result<String, CliError> {
 }
 
 fn run_steady(o: &RunOptions, frames: u32) -> Result<String, CoreError> {
+    if frames < 2 {
+        return Err(CoreError::BadParam {
+            reason: format!(
+                "a steady session needs at least 2 frames (got {frames}); use 'mcm run' for one"
+            ),
+        });
+    }
     let exp = build_experiment(o);
     let r = exp
-        .run_with(&mcm_core::RunOptions::steady(frames).with_execution(o.execution))?
+        .run_with(&mcm_core::RunOptions::steady(frames).with_verify(o.verify))?
         .into_steady()
-        .expect("steady outcome");
+        .expect("a multi-frame run has a steady outcome");
     let mut out = format!(
         "{} x {} ch @ {} MHz, {frames} consecutive frames\n",
         o.point, o.channels, o.clock_mhz
@@ -1525,6 +1529,16 @@ mod steady_and_viewfinder_tests {
         let out = execute(&cmd).unwrap();
         assert!(out.contains("3 consecutive frames"));
         assert!(out.contains("steady access time"));
+
+        // Sessions are unverified and at least two frames long: both are
+        // refusals, not a silently different run.
+        for (args, why) in [
+            (&["steady", "--verify"][..], "verified steady-state runs"),
+            (&["steady", "--frames", "1"][..], "at least 2 frames"),
+        ] {
+            let err = execute(&parse_args(args.iter().copied()).unwrap()).unwrap_err();
+            assert!(err.to_string().contains(why), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -225,11 +225,6 @@ pub struct RunOptions {
     /// event. Excluded from equality and serialization, so attaching a
     /// recorder never perturbs sweep cache fingerprints.
     pub recorder: Option<std::sync::Arc<dyn mcm_obs::Recorder>>,
-    /// How the run executes: whether steady-state frames are memoized. The
-    /// default serializes to nothing, so pre-policy cache fingerprints and
-    /// store documents stay warm; a non-default policy is part of the run's
-    /// identity (memoization is an approximation).
-    pub execution: crate::ExecutionPolicy,
 }
 
 // The recorder is an attachment, not part of the run's identity: equality,
@@ -242,7 +237,6 @@ impl PartialEq for RunOptions {
             && self.frames == other.frames
             && self.op_limit == other.op_limit
             && self.faults == other.faults
-            && self.execution == other.execution
     }
 }
 
@@ -258,11 +252,6 @@ impl Serialize for RunOptions {
         // serialization (and therefore their sweep cache fingerprints).
         if let Some(plan) = &self.faults {
             m.insert("faults".to_string(), plan.to_value());
-        }
-        // Same discipline for the execution policy: the default renders as
-        // an absent key, keeping pre-policy serializations byte-identical.
-        if self.execution != crate::ExecutionPolicy::default() {
-            m.insert("execution".to_string(), self.execution.to_value());
         }
         serde::Value::Object(m)
     }
@@ -286,10 +275,6 @@ impl Deserialize for RunOptions {
                 None => None,
             },
             recorder: None,
-            execution: match obj.get("execution") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => crate::ExecutionPolicy::default(),
-            },
         })
     }
 }
@@ -302,7 +287,6 @@ impl Default for RunOptions {
             op_limit: None,
             faults: None,
             recorder: None,
-            execution: crate::ExecutionPolicy::default(),
         }
     }
 }
@@ -358,13 +342,6 @@ impl RunOptions {
     /// result then carries a [`DegradeSummary`] describing what degraded.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Sets the [`ExecutionPolicy`](crate::ExecutionPolicy) — steady-state
-    /// memoization — for this run (builder style).
-    pub fn with_execution(mut self, execution: crate::ExecutionPolicy) -> Self {
-        self.execution = execution;
         self
     }
 }
@@ -557,11 +534,10 @@ impl Experiment {
             std::borrow::Cow::Borrowed(self)
         };
         if options.frames > 1 {
-            return crate::steady::run_steady_state_with(
+            return crate::steady::run_steady_state(
                 &exp,
                 model,
                 options.frames,
-                &options.execution,
                 options.recorder.clone(),
             )
             .map(RunOutcome::Steady);

@@ -43,7 +43,6 @@ mod builder;
 pub mod charts;
 mod error;
 pub mod eventsim;
-mod execution;
 mod experiment;
 pub mod figures;
 pub mod profile;
@@ -53,7 +52,6 @@ pub mod tracerun;
 
 pub use builder::ExperimentBuilder;
 pub use error::CoreError;
-pub use execution::ExecutionPolicy;
 pub use experiment::{
     ChunkPolicy, Experiment, FrameResult, Pacing, RealTimeVerdict, RunOptions, RunOutcome,
     TenantSummary,

@@ -19,7 +19,6 @@ use mcm_sim::SimTime;
 
 use crate::error::CoreError;
 use crate::experiment::{Experiment, RealTimeVerdict};
-use crate::ExecutionPolicy;
 
 /// Per-frame measurement within a steady-state run.
 #[derive(Debug, Clone, Copy)]
@@ -68,66 +67,11 @@ impl SteadyStateResult {
 /// This is the engine behind
 /// [`RunOptions::steady`](crate::RunOptions::steady); prefer
 /// [`Experiment::run_with`] and the [`RunOutcome`](crate::RunOutcome)
-/// accessors for getting at the [`SteadyStateResult`]. Runs with the
-/// default [`ExecutionPolicy`]; use [`run_steady_state_with`] to pick
-/// the memoizing fast path.
-pub fn run_steady_state_observed(
+/// accessors for getting at the [`SteadyStateResult`].
+pub fn run_steady_state(
     exp: &Experiment,
     model: &dyn LoadModel,
     frames: u32,
-    recorder: Option<std::sync::Arc<dyn mcm_obs::Recorder>>,
-) -> Result<SteadyStateResult, CoreError> {
-    run_steady_state_with(exp, model, frames, &ExecutionPolicy::default(), recorder)
-}
-
-/// FNV-1a over a frame's (direction, address, length) operation stream: the
-/// memoization key that decides whether two frames issue identical traffic.
-fn frame_stream_key(ops: &[MasterTransaction]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for txn in ops {
-        eat(match txn.op {
-            AccessOp::Write => 1,
-            AccessOp::Read => 0,
-        });
-        eat(txn.addr);
-        eat(txn.len);
-    }
-    h
-}
-
-/// What the memoizer keeps per unique frame stream.
-struct MemoFrame {
-    access_cycles: u64,
-    bytes: u64,
-    event_energy_pj: f64,
-}
-
-/// [`run_steady_state_observed`] with an explicit [`ExecutionPolicy`].
-///
-/// With `policy.memoize_steady`, frames whose operation stream (direction,
-/// address, length, in order) hashes identically to an already-simulated
-/// frame are *priced* from that frame's measurements instead of being
-/// re-simulated: same access time and verdict, bytes and per-event DRAM
-/// energy credited to the session total. With the paper's deterministic
-/// workload the stream recurs once the reference-frame rotation completes
-/// a period, so a long session simulates only the first rotation. This is
-/// an analytic approximation — refresh-debt drift and backlog coupling
-/// across skipped frames are ignored (a backed-up pipeline would slow
-/// repeated frames down, the memoizer reports them at their first
-/// occurrence's speed) and background energy during skipped frames is
-/// accounted as idle — so it is opt-in and disabled whenever a recorder
-/// is attached (the event stream would have gaps).
-pub fn run_steady_state_with(
-    exp: &Experiment,
-    model: &dyn LoadModel,
-    frames: u32,
-    policy: &ExecutionPolicy,
     recorder: Option<std::sync::Arc<dyn mcm_obs::Recorder>>,
 ) -> Result<SteadyStateResult, CoreError> {
     exp.validate()?;
@@ -150,11 +94,6 @@ pub fn run_steady_state_with(
     let frame_budget = SimTime::from_ps(1_000_000_000_000u64 / exp.use_case.fps as u64);
     let budget_cycles = memory.clock().cycles_at(frame_budget);
     let chunk = exp.chunk.bytes(memory.channels());
-    let memoize = policy.memoize_steady && recorder.is_none();
-    let mut memo: std::collections::HashMap<u64, MemoFrame> = std::collections::HashMap::new();
-    // Event energy credited for frames the memoizer skipped; background
-    // energy over the whole horizon still comes from the live subsystem.
-    let mut memo_event_pj = 0.0f64;
 
     let mut samples = Vec::with_capacity(frames as usize);
     let mut bytes = 0u64;
@@ -182,32 +121,9 @@ pub fn run_steady_state_with(
             });
             frame_bytes += op.len as u64;
         }
-        let key = memoize.then(|| frame_stream_key(&batch));
-        let access_cycles = match key.as_ref().and_then(|k| memo.get(k)) {
-            Some(prior) => {
-                // Identical stream: price it from the first occurrence.
-                memo_event_pj += prior.event_energy_pj;
-                bytes += prior.bytes;
-                prior.access_cycles
-            }
-            None => {
-                let pre_event_pj = memoize.then(|| memory.event_energy_pj());
-                let done = memory.submit_batch(&batch)?;
-                let access_cycles = done.max(start) - start;
-                bytes += frame_bytes;
-                if let (Some(k), Some(pre)) = (key, pre_event_pj) {
-                    memo.insert(
-                        k,
-                        MemoFrame {
-                            access_cycles,
-                            bytes: frame_bytes,
-                            event_energy_pj: memory.event_energy_pj() - pre,
-                        },
-                    );
-                }
-                access_cycles
-            }
-        };
+        let done = memory.submit_batch(&batch)?;
+        let access_cycles = done.max(start) - start;
+        bytes += frame_bytes;
         let access_time = memory.clock().time_of_cycles(start + access_cycles)
             - memory.clock().time_of_cycles(start);
         let verdict = if access_cycles > budget_cycles {
@@ -232,7 +148,7 @@ pub fn run_steady_state_with(
     let horizon_time = memory
         .clock()
         .time_of_cycles(horizon.max(memory.busy_until()));
-    let core_mw = (report.core_energy_pj + memo_event_pj) / horizon_time.as_ns_f64();
+    let core_mw = report.core_energy_pj / horizon_time.as_ns_f64();
     let interface_mw = exp
         .interface
         .total_power_mw(memory.clock().frequency(), memory.channels());

@@ -9,7 +9,7 @@
 //! proptest-drawn random configurations.
 
 use mcm_core::eventsim::{run_event_driven_configured, EventDrivenResult};
-use mcm_core::{ChunkPolicy, ExecutionPolicy, Experiment, Pacing, RunOptions};
+use mcm_core::{ChunkPolicy, Experiment, Pacing, RunOptions};
 use mcm_ctrl::PagePolicy;
 use mcm_load::HdOperatingPoint;
 use mcm_sim::QueueKind;
@@ -286,49 +286,6 @@ fn idle_tail_results_match_the_recorded_bits() {
         (SESSION_PIN.0, SESSION_PIN.1, SESSION_PIN.2.as_slice()),
         "steady session: core power bits {mw:#018x}"
     );
-}
-
-/// The memoized steady path prices recurring frames from their first
-/// occurrence instead of re-simulating them. It is a documented analytic
-/// approximation (refresh-debt drift and backlog coupling across skipped
-/// frames are ignored), so the contract is: identical schedule, bytes and
-/// verdicts, a bit-identical first frame (always simulated live), and
-/// access times / power that track the full simulation closely.
-#[test]
-fn memoized_steady_state_prices_frames_like_the_simulated_run() {
-    for channels in [1u32, 4] {
-        let e = quick(HdOperatingPoint::Hd1080p30, channels);
-        let plain = e.run_with(&RunOptions::steady(6)).unwrap();
-        let plain = plain.steady().unwrap();
-        let memo = e
-            .run_with(
-                &RunOptions::steady(6)
-                    .with_execution(ExecutionPolicy::default().with_memoize_steady(true)),
-            )
-            .unwrap();
-        let memo = memo.steady().unwrap();
-        assert_eq!(plain.bytes, memo.bytes, "{channels}ch");
-        assert_eq!(plain.frames.len(), memo.frames.len(), "{channels}ch");
-        assert_eq!(
-            format!("{:?}", plain.frames[0]),
-            format!("{:?}", memo.frames[0]),
-            "{channels}ch: first frame is simulated live and must be exact"
-        );
-        for (i, (p, m)) in plain.frames.iter().zip(&memo.frames).enumerate() {
-            assert_eq!(p.start_cycle, m.start_cycle, "{channels}ch frame {i}");
-            assert_eq!(p.verdict, m.verdict, "{channels}ch frame {i}");
-            let ratio = m.access_time.as_ps() as f64 / p.access_time.as_ps().max(1) as f64;
-            assert!(
-                (0.95..=1.05).contains(&ratio),
-                "{channels}ch frame {i}: memoized price drifted {ratio}"
-            );
-        }
-        let power_ratio = memo.power.core_mw / plain.power.core_mw;
-        assert!(
-            (0.75..=1.25).contains(&power_ratio),
-            "{channels}ch: memoized power drifted {power_ratio}"
-        );
-    }
 }
 
 proptest! {

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mcm_core::{ExecutionPolicy, Experiment, RunOptions};
+use mcm_core::{Experiment, RunOptions};
 use mcm_load::HdOperatingPoint;
 use mcm_sweep::{content_key, SweepOptions, SweepSpec, WorkItem};
 use serde::Deserialize;
@@ -195,23 +195,9 @@ impl Server {
     /// `"clock_mhz"`). Healthy submissions pass the static feasibility
     /// gate first; known content keys are answered from the store.
     fn post_run(&self, request: &Request) -> Reply {
-        let body = match request.json() {
-            Ok(v) => v,
-            Err(e) => return (400, error_body(e)),
-        };
-        let mut experiment = match parse_experiment(&body) {
-            Ok(e) => e,
-            Err(e) => return (400, error_body(e)),
-        };
-        if let Some(n) = body.get("op_limit").and_then(|v| v.as_u64()) {
-            experiment.op_limit = Some(n);
-        }
-        let run = match parse_run_options(&body) {
-            Ok(r) => r,
-            Err(e) => return (400, error_body(e)),
-        };
-        let faults = match parse_faults(&body, experiment.memory.channels) {
-            Ok(f) => f,
+        let (experiment, run, faults, label) = match request.json().and_then(|b| parse_run_body(&b))
+        {
+            Ok(parsed) => parsed,
             Err(e) => return (400, error_body(e)),
         };
 
@@ -231,17 +217,6 @@ impl Server {
                 );
             }
         }
-
-        let label = body
-            .get("label")
-            .and_then(|v| v.as_str())
-            .map(str::to_string)
-            .unwrap_or_else(|| {
-                format!(
-                    "run/{}ch/{}MHz",
-                    experiment.memory.channels, experiment.memory.clock_mhz
-                )
-            });
 
         // Identical experiment + options ⇒ identical content key ⇒ the
         // store answers without the executor ever seeing the submission.
@@ -284,19 +259,31 @@ impl Server {
 
     /// `POST /sweeps`: a partial [`SweepSpec`] (under `"spec"`, or the
     /// whole body) merged over the paper defaults, expanded, and queued.
+    /// Only the wrapped form carries job options next to `"spec"`.
     fn post_sweep(&self, request: &Request) -> Reply {
-        let body = match request.json() {
-            Ok(v) => v,
+        let parsed = request.json().and_then(|body| {
+            let spec = match body.get("spec") {
+                Some(spec) => {
+                    check_keys(&body, SWEEP_KEYS)?;
+                    merge_spec(spec)?
+                }
+                None => merge_spec(&body)?,
+            };
+            let points = spec.expand().map_err(|e| e.to_string())?;
+            let run = RunOptions::default().with_verify(bool_field(&body, "verify")?);
+            let mut options = self.sweep_options(
+                run,
+                bool_field(&body, "observe")?,
+                bool_field(&body, "prelint")?,
+            );
+            if let Some(n) = u64_field(&body, "threads")? {
+                options.threads = Some(n as usize);
+            }
+            Ok((points, options))
+        });
+        let (points, options) = match parsed {
+            Ok(parsed) => parsed,
             Err(e) => return (400, error_body(e)),
-        };
-        let spec_value = body.get("spec").cloned().unwrap_or_else(|| body.clone());
-        let spec = match merge_spec(&spec_value) {
-            Ok(s) => s,
-            Err(e) => return (400, error_body(e)),
-        };
-        let points = match spec.expand() {
-            Ok(p) => p,
-            Err(e) => return (400, error_body(e.to_string())),
         };
         let items: Vec<WorkItem> = points
             .into_iter()
@@ -308,29 +295,6 @@ impl Server {
             .collect();
         let total = items.len();
         let label = format!("sweep/{total} points");
-
-        let mut run = RunOptions::default();
-        if let Some(v) = body.get("verify").and_then(|v| v.as_bool()) {
-            run.verify = v;
-        }
-        if let Some(v) = body.get("execution") {
-            run.execution = match ExecutionPolicy::from_value(v) {
-                Ok(p) => p,
-                Err(e) => return (400, error_body(format!("bad `execution`: {e:?}"))),
-            };
-        }
-        let mut options = self.sweep_options(
-            run,
-            body.get("observe")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-            body.get("prelint")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
-        );
-        if let Some(n) = body.get("threads").and_then(|v| v.as_u64()) {
-            options.threads = Some(n as usize);
-        }
         match self.table.submit(JobKind::Sweep, &label, items, options) {
             Ok(id) => (
                 202,
@@ -467,27 +431,116 @@ fn parse_batch_item(raw: &serde::Value) -> Result<WorkItem, String> {
     Ok(item)
 }
 
+/// Top-level keys of a `POST /runs` body.
+const RUN_KEYS: &[&str] = &[
+    "format",
+    "channels",
+    "clock_mhz",
+    "workload",
+    "experiment",
+    "op_limit",
+    "label",
+    "run",
+    "faults",
+];
+
+/// The shorthand coordinates a full `"experiment"` replaces.
+const SHORTHAND_KEYS: &[&str] = &["format", "channels", "clock_mhz", "workload"];
+
+/// Top-level keys of a `POST /sweeps` body that wraps its grid in `"spec"`.
+const SWEEP_KEYS: &[&str] = &["spec", "verify", "observe", "prelint", "threads"];
+
+/// Refuses a body that is not a JSON object, or that carries a key outside
+/// `known`: a typo must be a `400`, not a silently defaulted run. An empty
+/// body counts as `{}`.
+fn check_keys(body: &serde::Value, known: &[&str]) -> Result<(), String> {
+    let map = match body {
+        serde::Value::Null => return Ok(()),
+        serde::Value::Object(map) => map,
+        _ => return Err("body must be a JSON object".to_string()),
+    };
+    match map.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(key) => Err(format!(
+            "unknown key `{key}` (expected one of: {})",
+            known.join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
+/// `body[key]` as a non-negative integer, if present.
+fn u64_field(body: &serde::Value, key: &str) -> Result<Option<u64>, String> {
+    body.get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+        })
+        .transpose()
+}
+
+/// `body[key]` as a boolean; absent is `false`.
+fn bool_field(body: &serde::Value, key: &str) -> Result<bool, String> {
+    body.get(key).map_or(Ok(false), |v| {
+        v.as_bool()
+            .ok_or_else(|| format!("`{key}` must be a boolean"))
+    })
+}
+
+/// `body[key]` as a string, if present.
+fn str_field<'a>(body: &'a serde::Value, key: &str) -> Result<Option<&'a str>, String> {
+    body.get(key)
+        .map(|v| {
+            v.as_str()
+                .ok_or_else(|| format!("`{key}` must be a string"))
+        })
+        .transpose()
+}
+
+/// A checked `POST /runs` body: the experiment, its run options, the
+/// optional fault plan and the job label.
+fn parse_run_body(
+    body: &serde::Value,
+) -> Result<(Experiment, RunOptions, Option<mcm_fault::FaultPlan>, String), String> {
+    check_keys(body, RUN_KEYS)?;
+    let mut experiment = parse_experiment(body)?;
+    if let Some(n) = u64_field(body, "op_limit")? {
+        experiment.op_limit = Some(n);
+    }
+    let run = parse_run_options(body)?;
+    let faults = parse_faults(body, experiment.memory.channels)?;
+    let label = match str_field(body, "label")? {
+        Some(label) => label.to_string(),
+        None => format!(
+            "run/{}ch/{}MHz",
+            experiment.memory.channels, experiment.memory.clock_mhz
+        ),
+    };
+    Ok((experiment, run, faults, label))
+}
+
 /// The experiment of a `POST /runs` body: full (`"experiment"`) or the
 /// shorthand grid coordinates with paper defaults.
 fn parse_experiment(body: &serde::Value) -> Result<Experiment, String> {
     if let Some(value) = body.get("experiment") {
+        if let Some(key) = SHORTHAND_KEYS.iter().find(|k| body.get(k).is_some()) {
+            return Err(format!(
+                "`{key}` cannot be combined with a full `experiment`"
+            ));
+        }
         return Experiment::from_value(value).map_err(|e| format!("bad experiment: {e:?}"));
     }
-    let point = match body.get("format").and_then(|v| v.as_str()) {
+    let point = match str_field(body, "format")? {
         None => HdOperatingPoint::Hd1080p30,
         Some(s) => parse_point(s)?,
     };
-    let channels = body.get("channels").and_then(|v| v.as_u64()).unwrap_or(4) as u32;
-    let clock_mhz = body
-        .get("clock_mhz")
-        .and_then(|v| v.as_u64())
-        .unwrap_or(400);
-    let workload = match body.get("workload") {
+    let channels = match u64_field(body, "channels")? {
+        None => 4,
+        Some(n) => u32::try_from(n).map_err(|_| format!("`channels` = {n} is out of range"))?,
+    };
+    let clock_mhz = u64_field(body, "clock_mhz")?.unwrap_or(400);
+    let workload = match str_field(body, "workload")? {
         None => mcm_load::Workload::TableI,
-        Some(v) => {
-            let name = v.as_str().ok_or("`workload` must be a string name")?;
-            mcm_load::Workload::parse(name).map_err(|e| format!("bad workload: {e}"))?
-        }
+        Some(name) => mcm_load::Workload::parse(name).map_err(|e| format!("bad workload: {e}"))?,
     };
     Experiment::builder()
         .point(point)
@@ -530,10 +583,6 @@ fn parse_run_options(body: &serde::Value) -> Result<RunOptions, String> {
             }
             "op_limit" => {
                 run.op_limit = Some(v.as_u64().ok_or("`run.op_limit` must be a number")?);
-            }
-            "execution" => {
-                run.execution = ExecutionPolicy::from_value(v)
-                    .map_err(|e| format!("bad `run.execution`: {e:?}"))?;
             }
             other => return Err(format!("unknown run option `{other}`")),
         }
@@ -666,6 +715,14 @@ mod tests {
     }
 
     #[test]
+    fn full_experiments_refuse_shorthand_coordinates_beside_them() {
+        let exp = Experiment::paper(HdOperatingPoint::Hd720p30, 2, 200);
+        let e =
+            parse_experiment(&serde_json::json!({ "experiment": exp, "channels": 4 })).unwrap_err();
+        assert!(e.contains("`channels` cannot be combined"), "{e}");
+    }
+
+    #[test]
     fn run_options_are_lenient_but_typo_safe() {
         assert_eq!(
             parse_run_options(&serde_json::json!({})).unwrap(),
@@ -678,23 +735,5 @@ mod tests {
         assert_eq!(run.op_limit, Some(500));
         let e = parse_run_options(&serde_json::json!({ "run": { "verfy": true } })).unwrap_err();
         assert!(e.contains("unknown run option"), "{e}");
-    }
-
-    #[test]
-    fn execution_policy_parses_as_string_or_object() {
-        let memoized = ExecutionPolicy::default().with_memoize_steady(true);
-        let run =
-            parse_run_options(&serde_json::json!({ "run": { "execution": "memoized" } })).unwrap();
-        assert_eq!(run.execution, memoized);
-        let run = parse_run_options(
-            &serde_json::json!({ "run": { "execution": { "memoize_steady": true } } }),
-        )
-        .unwrap();
-        assert_eq!(run.execution, memoized);
-        for bad in ["warp-drive", "per-channel:2", "calendar", "binary-heap"] {
-            let e =
-                parse_run_options(&serde_json::json!({ "run": { "execution": bad } })).unwrap_err();
-            assert!(e.contains("bad `run.execution`"), "{bad}: {e}");
-        }
     }
 }

@@ -153,9 +153,59 @@ fn health_routing_and_refusals() {
     assert_eq!(bad.status, 400);
     assert!(bad.body.get("error").is_some());
 
-    // Unknown run options are refusals, not silent defaults.
-    let typo = h.call("POST", "/runs", Some(r#"{"run": {"verfy": true}}"#));
-    assert_eq!(typo.status, 400);
+    // Unknown keys and values of the wrong JSON type are refusals that
+    // name the key, not silent defaults.
+    for (path, body, key) in [
+        ("/runs", r#"{"run": {"verfy": true}}"#, "verfy"),
+        (
+            "/runs",
+            r#"{"run": {"execution": "memoized"}}"#,
+            "execution",
+        ),
+        ("/runs", r#"{"execution": "memoized"}"#, "execution"),
+        ("/runs", r#"{"op_limt": 2000}"#, "op_limt"),
+        ("/runs", r#"{"channels": "2"}"#, "channels"),
+        ("/runs", r#"{"clock_mhz": "266"}"#, "clock_mhz"),
+        ("/runs", r#"{"format": 1080}"#, "format"),
+        ("/runs", r#"{"op_limit": -1}"#, "op_limit"),
+        ("/runs", r#"{"label": 7}"#, "label"),
+        (
+            "/sweeps",
+            r#"{"spec": {"channels": [4]}, "verfy": true}"#,
+            "verfy",
+        ),
+        (
+            "/sweeps",
+            r#"{"spec": {"channels": [4]}, "execution": {}}"#,
+            "execution",
+        ),
+        (
+            "/sweeps",
+            r#"{"spec": {"channels": [4]}, "verify": "yes"}"#,
+            "verify",
+        ),
+        (
+            "/sweeps",
+            r#"{"spec": {"channels": [4]}, "threads": 1.5}"#,
+            "threads",
+        ),
+        (
+            "/sweeps",
+            r#"{"channels": [4], "execution": {}}"#,
+            "execution",
+        ),
+    ] {
+        let reply = h.call("POST", path, Some(body));
+        assert_eq!(reply.status, 400, "{path} {body}: {:?}", reply.body);
+        let error = reply.body.get("error").and_then(|v| v.as_str());
+        assert!(
+            error.is_some_and(|e| e.contains(&format!("`{key}`"))),
+            "{path} {body}: {error:?}"
+        );
+    }
+    let not_an_object = h.call("POST", "/runs", Some("[4]"));
+    assert_eq!(not_an_object.status, 400, "{:?}", not_an_object.body);
+    assert_eq!(h.simulated_points(), 0, "a refused body queues nothing");
 
     h.shutdown();
 }

@@ -18,7 +18,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use mcm_core::ExecutionPolicy;
 use mcm_load::HdOperatingPoint;
 use mcm_serve::{ServeConfig, ServeExecutor, Server};
 use mcm_sweep::{run_sweep_on, CheckpointLog, RayonExecutor, SweepOptions, SweepSpec};
@@ -155,8 +154,7 @@ fn duplicate_submissions_hit_the_shared_store_and_checkpoints_resume_locally() {
     let log_path =
         std::env::temp_dir().join(format!("mcm-serve-exec-log-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
-    let policy = ExecutionPolicy::default();
-    let log = CheckpointLog::attach(&log_path, &spec(), &policy, false).unwrap();
+    let log = CheckpointLog::attach(&log_path, &spec(), false).unwrap();
     let third = run_sweep_on(
         &exec,
         &spec(),

@@ -3,10 +3,9 @@
 //! A [`CheckpointLog`] records every completed point of one sweep as a
 //! JSONL line (`{key, label, record}`) under a sealed header that binds
 //! the log to its sweep: the [`spec_hash`](crate::spec_hash) of the grid,
-//! the [`KEY_SCHEMA_VERSION`](crate::KEY_SCHEMA_VERSION), and the
-//! [`ExecutionPolicy`] the points run under. A log offered to a different
-//! sweep is refused with a typed [`SweepError::Checkpoint`] instead of
-//! silently resuming the wrong grid.
+//! the [`KEY_SCHEMA_VERSION`](crate::KEY_SCHEMA_VERSION) and the point
+//! count. A log offered to a different sweep is refused with a typed
+//! [`SweepError::Checkpoint`] instead of silently resuming the wrong grid.
 //!
 //! Every append rewrites the log to a sibling temp file and atomically
 //! renames it over the original, so the file on disk is a complete,
@@ -21,7 +20,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use mcm_core::ExecutionPolicy;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::PointRecord;
@@ -30,12 +28,13 @@ use crate::key::{spec_hash, KEY_SCHEMA_VERSION};
 use crate::spec::SweepSpec;
 
 /// The sealed first line of a checkpoint log: which sweep this log belongs
-/// to. Every field must match on open, or the log is refused.
+/// to. Every field must match on open, or the log is refused. Keys the
+/// reader does not know, such as the `"execution": {}` that older logs
+/// carry, are ignored.
 #[derive(Debug, Clone, PartialEq)]
 struct Header {
     spec_hash: u64,
     key_schema: u32,
-    execution: ExecutionPolicy,
     total: usize,
 }
 
@@ -45,7 +44,6 @@ impl Header {
             "mcm_checkpoint": 1,
             "spec_hash": format!("{:016x}", self.spec_hash),
             "key_schema": self.key_schema,
-            "execution": self.execution,
             "total": self.total
         }))
         .expect("a value tree always serializes")
@@ -66,9 +64,6 @@ impl Header {
             .get("key_schema")
             .and_then(|k| k.as_u64())
             .ok_or("header has no `key_schema`")? as u32;
-        let execution =
-            ExecutionPolicy::from_value(v.get("execution").unwrap_or(&serde::Value::Null))
-                .map_err(|e| format!("header has a bad `execution` policy: {e:?}"))?;
         let total = v
             .get("total")
             .and_then(|t| t.as_u64())
@@ -76,7 +71,6 @@ impl Header {
         Ok(Header {
             spec_hash,
             key_schema,
-            execution,
             total,
         })
     }
@@ -115,23 +109,21 @@ impl fmt::Debug for CheckpointLog {
 }
 
 impl CheckpointLog {
-    /// Opens (or creates) the log at `path` for a sweep of `spec` under
-    /// `execution`. An existing file must carry a matching header —
-    /// same spec hash, same [`KEY_SCHEMA_VERSION`], same execution policy —
-    /// or the call is a typed [`SweepError::Checkpoint`]. With
+    /// Opens (or creates) the log at `path` for a sweep of `spec`. An
+    /// existing file must carry a matching header — same spec hash, same
+    /// [`KEY_SCHEMA_VERSION`], same point count — or the call is a typed
+    /// [`SweepError::Checkpoint`]. With
     /// `must_exist` (the `--resume` contract), a missing file is an error
     /// instead of a fresh log.
     pub fn attach(
         path: impl Into<PathBuf>,
         spec: &SweepSpec,
-        execution: &ExecutionPolicy,
         must_exist: bool,
     ) -> Result<CheckpointLog, SweepError> {
         let path = path.into();
         let header = Header {
             spec_hash: spec_hash(spec)?,
             key_schema: KEY_SCHEMA_VERSION,
-            execution: *execution,
             total: spec.len(),
         };
         let refuse = |message: String| SweepError::Checkpoint {
@@ -292,39 +284,41 @@ mod tests {
     #[test]
     fn create_record_reopen_round_trips() {
         let path = tmp_log("roundtrip");
-        let policy = ExecutionPolicy::default();
-        let log = CheckpointLog::attach(&path, &spec(), &policy, false).unwrap();
+        let log = CheckpointLog::attach(&path, &spec(), false).unwrap();
         assert!(log.is_empty());
         log.record(0xabc, "720p30/1ch", &record()).unwrap();
         log.record(0xdef, "720p30/2ch", &record()).unwrap();
         assert_eq!(log.len(), 2);
         // Reopen: both points are known, the file survives process death.
-        let back = CheckpointLog::attach(&path, &spec(), &policy, true).unwrap();
+        let back = CheckpointLog::attach(&path, &spec(), true).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.lookup(0xabc), Some(record()));
         assert_eq!(back.lookup(0x123), None);
+
+        // A log whose header still carries `"execution": {}` resumes too:
+        // this first line is verbatim what such a log holds for `spec()`.
+        let old_header = r#"{"mcm_checkpoint":1,"spec_hash":"4715a7375cbfaa42","key_schema":1,"execution":{},"total":2}"#;
+        let text = fs::read_to_string(&path).unwrap();
+        let (_, points) = text.split_once('\n').unwrap();
+        fs::write(&path, format!("{old_header}\n{points}")).unwrap();
+        let old = CheckpointLog::attach(&path, &spec(), true).unwrap();
+        assert_eq!(old.len(), 2);
+        assert_eq!(old.lookup(0xabc), Some(record()));
+        assert_eq!(old.lookup(0xdef), Some(record()));
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn mismatched_sweeps_are_refused() {
         let path = tmp_log("mismatch");
-        let policy = ExecutionPolicy::default();
-        CheckpointLog::attach(&path, &spec(), &policy, false).unwrap();
+        CheckpointLog::attach(&path, &spec(), false).unwrap();
         // A different grid must not resume from this log.
         let other = SweepSpec {
             channels: vec![1, 2, 4],
             ..spec()
         };
         assert!(matches!(
-            CheckpointLog::attach(&path, &other, &policy, false).unwrap_err(),
-            SweepError::Checkpoint { .. }
-        ));
-        // Same grid under a different execution policy: also refused —
-        // the policy is part of the content key.
-        let memo = ExecutionPolicy::default().with_memoize_steady(true);
-        assert!(matches!(
-            CheckpointLog::attach(&path, &spec(), &memo, false).unwrap_err(),
+            CheckpointLog::attach(&path, &other, false).unwrap_err(),
             SweepError::Checkpoint { .. }
         ));
         let _ = fs::remove_file(&path);
@@ -333,8 +327,7 @@ mod tests {
     #[test]
     fn resume_requires_an_existing_log() {
         let path = tmp_log("missing");
-        let e =
-            CheckpointLog::attach(&path, &spec(), &ExecutionPolicy::default(), true).unwrap_err();
+        let e = CheckpointLog::attach(&path, &spec(), true).unwrap_err();
         assert!(matches!(e, SweepError::Checkpoint { .. }));
         assert!(e.to_string().contains("no such log"));
     }
@@ -342,14 +335,13 @@ mod tests {
     #[test]
     fn torn_trailing_lines_are_skipped_not_fatal() {
         let path = tmp_log("torn");
-        let policy = ExecutionPolicy::default();
-        let log = CheckpointLog::attach(&path, &spec(), &policy, false).unwrap();
+        let log = CheckpointLog::attach(&path, &spec(), false).unwrap();
         log.record(0x1, "a", &record()).unwrap();
         // Simulate a torn write from a crash mid-append.
         let mut text = fs::read_to_string(&path).unwrap();
         text.push_str("{\"key\": \"0000000000000002\", \"label\": \"b\", \"rec");
         fs::write(&path, text).unwrap();
-        let back = CheckpointLog::attach(&path, &spec(), &policy, true).unwrap();
+        let back = CheckpointLog::attach(&path, &spec(), true).unwrap();
         assert_eq!(back.len(), 1, "the torn point re-simulates");
         assert!(back.lookup(0x1).is_some());
         let _ = fs::remove_file(&path);
@@ -360,7 +352,7 @@ mod tests {
         let path = tmp_log("garbage");
         fs::write(&path, "not a checkpoint\n").unwrap();
         assert!(matches!(
-            CheckpointLog::attach(&path, &spec(), &ExecutionPolicy::default(), false).unwrap_err(),
+            CheckpointLog::attach(&path, &spec(), false).unwrap_err(),
             SweepError::Checkpoint { .. }
         ));
         let _ = fs::remove_file(&path);

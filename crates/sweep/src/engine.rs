@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use mcm_core::runner::run_isolated;
-use mcm_core::{BatchRunner, CoreError, ExecutionPolicy, Experiment, FrameResult, RunOptions};
+use mcm_core::{BatchRunner, CoreError, Experiment, FrameResult, RunOptions};
 use mcm_load::HdOperatingPoint;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -107,15 +107,6 @@ impl SweepOptions {
     /// [`SweepOptions::checkpoint`].
     pub fn with_checkpoint(mut self, log: CheckpointLog) -> Self {
         self.checkpoint = Some(log);
-        self
-    }
-
-    /// Sets the [`ExecutionPolicy`] applied to every point's run (builder
-    /// style) — shorthand for rebuilding [`SweepOptions::run`] via
-    /// [`RunOptions::with_execution`]. The default policy serializes to
-    /// nothing, so cache keys for default-policy sweeps are unchanged.
-    pub fn with_execution(mut self, execution: ExecutionPolicy) -> Self {
-        self.run = self.run.with_execution(execution);
         self
     }
 }
@@ -789,34 +780,5 @@ mod tests {
             .nth(1)
             .unwrap()
             .contains("1280x720@30/1ch/400MHz"));
-    }
-
-    #[test]
-    fn execution_policy_changes_the_cache_key_only_when_meaningful() {
-        // Default-policy sweeps must hit cache entries written before the
-        // `execution` field existed (the default serializes to nothing),
-        // while a memoizing policy is part of run identity and keys apart.
-        let dir = std::env::temp_dir().join(format!("mcm-sweep-exec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = SweepOptions::default().with_cache_dir(dir.clone());
-        let cold = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &options).unwrap();
-        assert_eq!(cold.stats.simulated, 3);
-
-        // Same default policy, spelled explicitly: every point is warm.
-        let explicit = options.clone().with_execution(ExecutionPolicy::default());
-        let warm = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &explicit).unwrap();
-        assert_eq!(warm.stats.cached, 3);
-        assert_eq!(cold.to_json(), warm.to_json());
-
-        // A memoizing policy serializes differently, so the points key
-        // apart and simulate fresh; memoization only touches multi-frame
-        // runs, so these single-frame points export identical numbers.
-        let memo = options
-            .clone()
-            .with_execution(ExecutionPolicy::default().with_memoize_steady(true));
-        let fresh = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &memo).unwrap();
-        assert_eq!(fresh.stats.simulated, 3);
-        assert_eq!(fresh.to_json(), cold.to_json());
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

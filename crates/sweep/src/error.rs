@@ -59,8 +59,8 @@ pub enum SweepError {
         reason: String,
     },
     /// The checkpoint log could not be created, read, or did not match the
-    /// sweep it was offered to (different spec hash, key schema, or
-    /// execution policy).
+    /// sweep it was offered to (different spec hash, key schema or point
+    /// count).
     Checkpoint {
         /// The offending log path.
         path: String,

@@ -89,6 +89,36 @@ mod tests {
         assert_ne!(spec_hash(&a).unwrap(), spec_hash(&b).unwrap());
     }
 
+    /// Literal keys for the headline configuration under each kind of run.
+    /// Cache entries, store documents and checkpoint records are addressed
+    /// by these values, so a change to how `RunOptions` or `Experiment`
+    /// serializes shows up here instead of as silently cold caches.
+    #[test]
+    fn content_keys_are_pinned() {
+        let exp = Experiment::paper(HdOperatingPoint::Hd1080p30, 4, 400);
+        let runs = [
+            RunOptions::default(),
+            RunOptions::verified(),
+            RunOptions::steady(4),
+            RunOptions::default().with_op_limit(2_000),
+            RunOptions::default().with_faults(mcm_fault::FaultPlan::channel_loss(5, 0)),
+        ];
+        let got: Vec<u64> = runs
+            .iter()
+            .map(|run| content_key(&exp, run).unwrap())
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0xfc48_1b28_fcee_be7e,
+                0x7695_4229_b5e0_c39d,
+                0x97cc_2092_7088_27bd,
+                0xa9b5_6c8d_0399_9d39,
+                0xb758_1392_0660_76be,
+            ]
+        );
+    }
+
     #[test]
     fn key_is_config_sensitive() {
         let a = Experiment::paper(HdOperatingPoint::Hd720p30, 4, 400);

@@ -8,7 +8,6 @@
 
 use std::path::PathBuf;
 
-use mcm_core::ExecutionPolicy;
 use mcm_load::HdOperatingPoint;
 use mcm_sweep::{run_sweep_on, CheckpointLog, RayonExecutor, SweepOptions, SweepSpec};
 
@@ -33,7 +32,6 @@ fn tmp_path(name: &str) -> PathBuf {
 #[test]
 fn resumed_sweep_simulates_only_the_missing_points_and_exports_identically() {
     let exec = RayonExecutor::default();
-    let policy = ExecutionPolicy::default();
 
     // The reference: one uninterrupted, checkpoint-free run.
     let reference = run_sweep_on(&exec, &spec(), &SweepOptions::default()).unwrap();
@@ -43,7 +41,7 @@ fn resumed_sweep_simulates_only_the_missing_points_and_exports_identically() {
     // writing the full sweep's checkpoint log — exactly the state a killed
     // process leaves behind (some points logged, the rest absent).
     let path = tmp_path("partial");
-    let log = CheckpointLog::attach(&path, &spec(), &policy, false).unwrap();
+    let log = CheckpointLog::attach(&path, &spec(), false).unwrap();
     let partial = SweepSpec {
         channels: vec![2],
         ..spec()
@@ -59,7 +57,7 @@ fn resumed_sweep_simulates_only_the_missing_points_and_exports_identically() {
 
     // Resume the full sweep from the log (the `--resume` contract:
     // the log must exist).
-    let log = CheckpointLog::attach(&path, &spec(), &policy, true).unwrap();
+    let log = CheckpointLog::attach(&path, &spec(), true).unwrap();
     assert_eq!(log.len(), 2, "the partial run checkpointed its points");
     let resumed = run_sweep_on(
         &exec,
@@ -112,7 +110,6 @@ fn resumed_sweep_simulates_only_the_missing_points_and_exports_identically() {
 #[test]
 fn checkpoint_and_cache_provenance_stay_distinct() {
     let exec = RayonExecutor::default();
-    let policy = ExecutionPolicy::default();
     let cache_dir = std::env::temp_dir().join(format!("mcm-resume-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let path = tmp_path("vs-cache");
@@ -124,7 +121,7 @@ fn checkpoint_and_cache_provenance_stay_distinct() {
 
     // Fresh log + warm cache: everything is a cache hit (the log is empty,
     // so it answers nothing), and the completed points still get logged.
-    let log = CheckpointLog::attach(&path, &spec(), &policy, false).unwrap();
+    let log = CheckpointLog::attach(&path, &spec(), false).unwrap();
     let warm = run_sweep_on(
         &exec,
         &spec(),

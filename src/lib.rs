@@ -42,9 +42,7 @@
 
 // The run/sweep API surface, re-exported at the root so downstream code
 // can write `mcm::RunOptions` without spelling out the member crate.
-pub use mcm_core::{
-    CoreError, ExecutionPolicy, Experiment, ExperimentBuilder, FrameResult, RunOptions, RunOutcome,
-};
+pub use mcm_core::{CoreError, Experiment, ExperimentBuilder, FrameResult, RunOptions, RunOutcome};
 pub use mcm_sweep::{run_sweep_on, RayonExecutor, SweepOptions, SweepResult, SweepSpec};
 
 pub use mcm_analyze as analyze;
@@ -67,8 +65,8 @@ pub mod prelude {
         ClusteredMemory, InterleaveMap, MasterTransaction, MemoryConfig, MemorySubsystem,
     };
     pub use mcm_core::{
-        ChunkPolicy, CoreError, ExecutionPolicy, Experiment, ExperimentBuilder, FrameResult,
-        Pacing, RealTimeVerdict, RunOptions, RunOutcome,
+        ChunkPolicy, CoreError, Experiment, ExperimentBuilder, FrameResult, Pacing,
+        RealTimeVerdict, RunOptions, RunOutcome,
     };
     pub use mcm_ctrl::{
         AccessOp, ChannelRequest, Controller, ControllerConfig, PagePolicy, PowerDownPolicy,
