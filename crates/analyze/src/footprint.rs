@@ -5,8 +5,8 @@
 //! engine uses (bank-staggered placement over the full multi-channel
 //! capacity), so the static answer is the engine's answer: a point flagged
 //! here would abort its run with the same `LayoutOverflow`. That turns the
-//! capacity ceiling — previously a silent skip in `mcm bench` — into an
-//! explicit, witnessed diagnostic. The ceiling itself is a datasheet
+//! capacity ceiling from a silent skip into an explicit, witnessed
+//! diagnostic. The ceiling itself is a datasheet
 //! field, `Geometry::capacity_bytes()`: the paper's 512 Mb part gives
 //! 64 MiB per channel, `Geometry::large_capacity_mobile_ddr` gives
 //! 256 MiB and fits 2160p30 into one or two channels.

@@ -25,7 +25,12 @@ pub enum Command {
     /// Regenerate the XDR comparison.
     Xdr,
     /// Regenerate everything in paper order.
-    Repro,
+    Repro {
+        /// Append the raw grid data as JSON after the text report.
+        json: bool,
+        /// Also write the plotting CSVs into this directory.
+        csv_dir: Option<String>,
+    },
     /// Run one ad-hoc experiment.
     Run(RunOptions),
     /// Report the maximum sustainable frame rate for a configuration.
@@ -84,8 +89,6 @@ pub enum Command {
     Sweep(SweepArgs),
     /// Run one instrumented experiment and print its observability report.
     Report(ReportArgs),
-    /// Measure the simulator's own throughput and write `BENCH_sim.json`.
-    Bench(BenchArgs),
     /// Generate, describe or save a deterministic fault plan.
     Fault(FaultArgs),
     /// Run the long-lived HTTP/JSON service.
@@ -193,31 +196,6 @@ impl Default for FaultArgs {
             lose: Vec::new(),
             out: None,
             output: OutputFormat::Text,
-        }
-    }
-}
-
-/// Options of `mcm bench`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchArgs {
-    /// Trim the grid/session/sweep scenarios for CI smoke runs.
-    pub quick: bool,
-    /// Where the JSON report is written.
-    pub out: String,
-    /// Override the measured repeats per scenario.
-    pub repeats: Option<u32>,
-    /// Prior report to gate against: fail on a >20% headline events/sec
-    /// regression.
-    pub baseline: Option<String>,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs {
-            quick: false,
-            out: "BENCH_sim.json".to_string(),
-            repeats: None,
-            baseline: None,
         }
     }
 }
@@ -515,6 +493,17 @@ fn parse_run_options<'a>(mut args: impl Iterator<Item = &'a str>) -> Result<RunO
     Ok(opts)
 }
 
+/// `cmd`, for a command that takes no flags: refuses the first one given.
+fn no_flags<'a>(
+    mut rest: impl Iterator<Item = &'a str>,
+    cmd: Command,
+) -> Result<Command, CliError> {
+    match rest.next() {
+        Some(flag) => Err(CliError(format!("unknown flag '{flag}'"))),
+        None => Ok(cmd),
+    }
+}
+
 /// Parses an argument list (without the program name).
 pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, CliError> {
     let mut it = args.into_iter();
@@ -523,13 +512,28 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
     };
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "table1" => Ok(Command::Table1),
-        "table2" => Ok(Command::Table2),
-        "fig3" => Ok(Command::Fig3),
-        "fig4" => Ok(Command::Fig4),
-        "fig5" => Ok(Command::Fig5),
-        "xdr" => Ok(Command::Xdr),
-        "repro" => Ok(Command::Repro),
+        "table1" => no_flags(it, Command::Table1),
+        "table2" => no_flags(it, Command::Table2),
+        "fig3" => no_flags(it, Command::Fig3),
+        "fig4" => no_flags(it, Command::Fig4),
+        "fig5" => no_flags(it, Command::Fig5),
+        "xdr" => no_flags(it, Command::Xdr),
+        "repro" => {
+            let (mut json, mut csv_dir) = (false, None);
+            while let Some(flag) = it.next() {
+                match flag {
+                    "--json" => json = true,
+                    "--csv" => {
+                        let dir = it
+                            .next()
+                            .ok_or_else(|| CliError("flag '--csv' needs a value".into()))?;
+                        csv_dir = Some(dir.to_string());
+                    }
+                    other => return Err(CliError(format!("unknown flag '{other}'"))),
+                }
+            }
+            Ok(Command::Repro { json, csv_dir })
+        }
         "run" => {
             let o = parse_run_options(it)?;
             ensure_output("run", o.output, &[OutputFormat::Json])?;
@@ -767,30 +771,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
             }
             Ok(Command::Sweep(a))
         }
-        "bench" => {
-            let mut a = BenchArgs::default();
-            let mut it = it;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| CliError(format!("flag '{flag}' needs a value")))
-                };
-                match flag {
-                    "--quick" => a.quick = true,
-                    "--out" => a.out = value()?.to_string(),
-                    "--repeats" => {
-                        a.repeats = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| CliError("bad --repeats value".into()))?,
-                        )
-                    }
-                    "--baseline" => a.baseline = Some(value()?.to_string()),
-                    other => return Err(CliError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Bench(a))
-        }
         "fault" => {
             let mut a = FaultArgs::default();
             let mut it = it;
@@ -957,6 +937,8 @@ USAGE:
 
 COMMANDS:
     repro       regenerate every paper table and figure
+                [--json]       append the raw grid data as JSON
+                [--csv <dir>]  also write table1.csv, fig3.csv, fig45.csv to <dir>
     table1      Table I  — per-stage memory bandwidth requirements
     table2      Table II — memory mapping over channels
     fig3        Fig. 3   — access time vs clock (720p30)
@@ -967,8 +949,6 @@ COMMANDS:
     report      run one instrumented experiment and print counters,
                 latency percentiles and timelines (see REPORT OPTIONS)
     sweep       sweep a grid in parallel (see SWEEP OPTIONS)
-    bench       measure simulator throughput, write BENCH_sim.json
-                (see BENCH OPTIONS)
     check       conformance-check a configuration (MCMxxx rules; --json for machines)
     lint        statically lint a configuration without simulating
                 (MCM1xx + MCM4xx rules; --json for machines)
@@ -1022,13 +1002,6 @@ REPORT OPTIONS (accepts every run option, plus):
     --trace                 Chrome trace_event JSON for Perfetto /
                             chrome://tracing               [text]
 
-BENCH OPTIONS:
-    --quick             trimmed scenario set for CI smoke runs  [full]
-    --out <path>        where the JSON report goes       [BENCH_sim.json]
-    --repeats <N>       measured repeats per scenario    [5, quick: 3]
-    --baseline <path>   fail on >20% headline events/sec regression
-                        against a prior report           [no gate]
-
 SERVE OPTIONS:
     --addr <host:port>  bind address (port 0 = ephemeral)  [127.0.0.1:7700]
     --store <dir>       persistent result store            [mcm-store]
@@ -1070,6 +1043,8 @@ mod tests {
         assert_eq!(parse_args([]).unwrap(), Command::Help);
         assert_eq!(parse_args(["help"]).unwrap(), Command::Help);
         assert_eq!(parse_args(["--help"]).unwrap(), Command::Help);
+        let err = parse_args(["bench"]).unwrap_err();
+        assert_eq!(err.0, "unknown command 'bench' (try 'mcm help')");
     }
 
     #[test]
@@ -1077,7 +1052,6 @@ mod tests {
         for args in [
             &["run", "--threads", "4"][..],
             &["steady", "--threads", "4"][..],
-            &["bench", "--threads", "2"][..],
         ] {
             let err = parse_args(args.iter().copied()).unwrap_err();
             assert_eq!(err.0, "unknown flag '--threads'", "{args:?}");
@@ -1103,7 +1077,6 @@ mod tests {
             "trace-dump",
             "trace-run",
             "sweep",
-            "bench",
         ] {
             let mut args = vec![cmd, "--execution", "memoized"];
             if cmd == "trace-dump" {
@@ -1120,7 +1093,36 @@ mod tests {
     fn figure_commands() {
         assert_eq!(parse_args(["fig3"]).unwrap(), Command::Fig3);
         assert_eq!(parse_args(["table1"]).unwrap(), Command::Table1);
-        assert_eq!(parse_args(["repro"]).unwrap(), Command::Repro);
+        assert_eq!(
+            parse_args(["repro"]).unwrap(),
+            Command::Repro {
+                json: false,
+                csv_dir: None
+            }
+        );
+        assert_eq!(
+            parse_args(["repro", "--csv", "out", "--json"]).unwrap(),
+            Command::Repro {
+                json: true,
+                csv_dir: Some("out".into())
+            }
+        );
+        // Figure commands take no flags, and refuse the ones they would
+        // otherwise ignore.
+        for args in [
+            &["table1", "--bogus"][..],
+            &["table2", "--json"][..],
+            &["fig3", "--channels", "2"][..],
+            &["fig4", "--csv"][..],
+            &["fig5", "--trace"][..],
+            &["xdr", "--csv"][..],
+            &["repro", "--trace"][..],
+        ] {
+            let err = parse_args(args.iter().copied()).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag '{}'", args[1]), "{args:?}");
+        }
+        let err = parse_args(["repro", "--csv"]).unwrap_err();
+        assert_eq!(err.0, "flag '--csv' needs a value");
     }
 
     #[test]
@@ -1378,38 +1380,6 @@ mod tests {
         assert!(parse_args(["report", "--timeline-bucket", "0"]).is_err());
         assert!(parse_args(["report", "--op-limit", "many"]).is_err());
         assert!(parse_args(["report", "--bogus"]).is_err());
-    }
-
-    #[test]
-    fn bench_defaults_and_knobs() {
-        let Command::Bench(a) = parse_args(["bench"]).unwrap() else {
-            panic!("expected bench");
-        };
-        assert_eq!(a, BenchArgs::default());
-        assert!(!a.quick);
-        assert_eq!(a.out, "BENCH_sim.json");
-
-        let Command::Bench(a) = parse_args([
-            "bench",
-            "--quick",
-            "--out",
-            "/tmp/b.json",
-            "--repeats",
-            "2",
-            "--baseline",
-            "BENCH_sim.json",
-        ])
-        .unwrap() else {
-            panic!("expected bench");
-        };
-        assert!(a.quick);
-        assert_eq!(a.out, "/tmp/b.json");
-        assert_eq!(a.repeats, Some(2));
-        assert_eq!(a.baseline.as_deref(), Some("BENCH_sim.json"));
-
-        assert!(parse_args(["bench", "--repeats"]).is_err());
-        assert!(parse_args(["bench", "--repeats", "x"]).is_err());
-        assert!(parse_args(["bench", "--bogus"]).is_err());
     }
 
     #[test]

@@ -249,15 +249,16 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
     let sim_err = |e: CoreError| CliError(format!("simulation failed: {e}"));
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
-        Command::Table1 => Ok(figures::render_table1(&figures::table1_data())),
+        Command::Table1 => Ok(figures::render_table1(&figures::table1_data())
+            + "\nPaper anchors: 720p30 ≈ 1.9 GB/s; 1080p30 ≈ 4.3 GB/s (≈2.2x 720p30); \
+               1080p60 ≈ 8.6 GB/s.\n"),
         Command::Table2 => Ok([2u32, 4, 8]
             .iter()
-            .map(|&c| figures::render_table2(c))
-            .collect::<Vec<_>>()
-            .join("\n")),
+            .map(|&c| figures::render_table2(c) + "\n")
+            .collect()),
         Command::Fig3 => {
             let d = figures::fig3_data_with(&ParallelRunner::new()).map_err(sim_err)?;
-            Ok(figures::render_fig3(&d))
+            Ok(figures::render_fig3_report(&d))
         }
         Command::Fig4 => {
             let d = figures::format_grid_data_with(&ParallelRunner::new()).map_err(sim_err)?;
@@ -265,29 +266,42 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         }
         Command::Fig5 => {
             let d = figures::format_grid_data_with(&ParallelRunner::new()).map_err(sim_err)?;
-            Ok(figures::render_fig5(&d))
+            Ok(figures::render_fig5_report(&d)
+                + "\nPaper anchors: 720p 150 mW (1ch) -> 205 mW (8ch); 1080p30 4ch 345 mW; \
+                   2160p 8ch 1280 mW.\n")
         }
         Command::Xdr => {
             let d = figures::xdr_data_with(&ParallelRunner::new()).map_err(sim_err)?;
-            Ok(figures::render_xdr(&d))
+            Ok(figures::render_xdr(&d)
+                + "\nPaper: \"similar bandwidth (25.0 GB/s) but power consumption \
+                   from 4% to 25% of the XDR value\".\n")
         }
-        Command::Repro => {
+        Command::Repro { json, csv_dir } => {
             let runner = ParallelRunner::new();
-            let mut out = String::new();
-            out += &figures::render_table1(&figures::table1_data());
-            out += "\n";
-            out += &figures::render_table2(4);
-            out += "\n";
+            let t1 = figures::table1_data();
             let f3 = figures::fig3_data_with(&runner).map_err(sim_err)?;
-            out += &figures::render_fig3(&f3);
             let grid = figures::format_grid_data_with(&runner).map_err(sim_err)?;
-            out += "\n";
-            out += &figures::render_fig4(&grid);
-            out += "\n";
-            out += &figures::render_fig5(&grid);
-            out += "\n";
             let xdr = figures::xdr_data_with(&runner).map_err(sim_err)?;
-            out += &figures::render_xdr(&xdr);
+            let mut out = figures::render_repro(&t1, &f3, &grid, &xdr);
+            if let Some(dir) = csv_dir {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| CliError(format!("cannot create '{dir}': {e}")))?;
+                for (name, csv) in figures::repro_csv(&t1, &f3, &grid) {
+                    let path = format!("{dir}/{name}");
+                    std::fs::write(&path, csv)
+                        .map_err(|e| CliError(format!("cannot write '{path}': {e}")))?;
+                    eprintln!("wrote {path}");
+                }
+            }
+            if *json {
+                let data = serde_json::json!({
+                    "table1": t1,
+                    "fig3": f3,
+                    "format_grid": grid,
+                    "xdr": xdr,
+                });
+                out += &format!("\n--- JSON ---\n{data}\n");
+            }
             Ok(out)
         }
         Command::Run(o) => run_one(o),
@@ -303,7 +317,15 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             reject_faults(o, "profile")?;
             let exp = build_experiment(o);
             let p = mcm_core::profile::run_profiled(&exp).map_err(sim_err)?;
-            Ok(p.render())
+            let mut out = p.render();
+            if let Some(b) = p.bottleneck() {
+                out += &format!(
+                    "\n  bottleneck: {} ({:.1}% of the frame)\n\n",
+                    b.stage,
+                    100.0 * b.time.as_ps() as f64 / p.total.as_ps() as f64
+                );
+            }
+            Ok(out)
         }
         Command::Timeline { options, cycles } => {
             reject_faults(options, "timeline")?;
@@ -367,7 +389,6 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             reject_faults(&a.options, "report")?;
             run_report(a)
         }
-        Command::Bench(a) => run_bench_cmd(a),
         Command::Fault(a) => run_fault(a),
         Command::Serve(a) => run_serve(a),
     }
@@ -506,39 +527,6 @@ fn render_latency_buckets(channel: u32, buckets: &[(u64, u64, u64)]) -> String {
 /// `mcm sweep`: expand the requested grid, execute it on the parallel
 /// engine (optionally against a content-hash result cache) and render a
 /// table, JSON or CSV.
-fn run_bench_cmd(a: &crate::args::BenchArgs) -> Result<String, CliError> {
-    use mcm_bench::perf;
-
-    let mut cfg = if a.quick {
-        perf::BenchConfig::quick()
-    } else {
-        perf::BenchConfig::full()
-    };
-    if let Some(repeats) = a.repeats {
-        cfg = cfg.with_repeats(repeats);
-    }
-    let report = perf::run_bench(&cfg).map_err(|e| CliError(format!("bench failed: {e}")))?;
-    let json = serde_json::to_string_pretty(&report)
-        .map_err(|e| CliError(format!("bench report serialization failed: {e}")))?;
-    std::fs::write(&a.out, json + "\n")
-        .map_err(|e| CliError(format!("cannot write '{}': {e}", a.out)))?;
-    let mut out = perf::render_text(&report);
-    out += &format!("\nreport written to {}\n", a.out);
-    if let Some(path) = &a.baseline {
-        let baseline_json = std::fs::read_to_string(path)
-            .map_err(|e| CliError(format!("cannot read baseline '{path}': {e}")))?;
-        let baseline: perf::BenchReport = serde_json::from_str(&baseline_json)
-            .map_err(|e| CliError(format!("baseline '{path}' is not a bench report: {e}")))?;
-        perf::check_regression(&report, &baseline, perf::REGRESSION_TOLERANCE)
-            .map_err(|e| CliError(format!("throughput regression vs '{path}': {e}")))?;
-        out += &format!(
-            "no headline regression beyond {:.0}% vs {path}\n",
-            perf::REGRESSION_TOLERANCE * 100.0
-        );
-    }
-    Ok(out)
-}
-
 fn run_sweep_cmd(a: &SweepArgs) -> Result<String, CliError> {
     if !a.merge.is_empty() {
         return run_sweep_merge(a);
@@ -958,40 +946,10 @@ mod tests {
     }
 
     #[test]
-    fn bench_command_writes_the_report_and_gates() {
-        let dir = std::env::temp_dir().join(format!("mcm_cli_bench_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out_path = dir.join("BENCH_sim.json");
-        let out_str = out_path.to_str().unwrap();
-        // Gating against the report being written compares the run with
-        // itself: the full baseline path executes and must pass.
-        let cmd = parse_args([
-            "bench",
-            "--quick",
-            "--repeats",
-            "1",
-            "--out",
-            out_str,
-            "--baseline",
-            out_str,
-        ])
-        .unwrap();
-        let text = execute(&cmd).unwrap();
-        assert!(text.contains("headline"), "{text}");
-        assert!(text.contains("no headline regression"), "{text}");
-        let report: mcm_bench::perf::BenchReport =
-            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
-        assert_eq!(report.mode, "quick");
-        assert_eq!(report.repeats, 1);
-        assert!(report.headline.direct_events_per_sec > 0.0);
-        assert!(report.scenarios.iter().any(|m| m.kind == "sweep"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn table_commands_render_without_simulation() {
         let out = execute(&Command::Table1).unwrap();
         assert!(out.contains("Video encoder"));
+        assert!(out.ends_with("1080p60 ≈ 8.6 GB/s.\n"), "{out}");
         let out = execute(&Command::Table2).unwrap();
         assert!(out.contains("BC0"));
     }
@@ -1657,6 +1615,15 @@ mod snapshot_tests {
             .filter_map(|l| l.split_whitespace().next())
             .collect();
         assert_eq!(labels, ["load:", "access", "bandwidth:", "power:"], "{out}");
+
+        // `mcm profile`: the stage table, then the bottleneck line.
+        let out = run("profile", &[]);
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines[0].starts_with("  stage "), "{out}");
+        let last = lines[lines.len() - 2];
+        assert!(last.starts_with("  bottleneck: "), "{out}");
+        assert!(last.ends_with("% of the frame)"), "{out}");
+        assert!(out.ends_with(")\n\n"), "{out}");
     }
 
     #[test]

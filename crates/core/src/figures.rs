@@ -1,8 +1,10 @@
 //! Data builders and text renderers for every table and figure of the
 //! paper's evaluation (Section IV), plus the Section II/III tables.
 //!
-//! Each `figN_data` function runs the corresponding simulation grid; each
-//! `render` produces the same rows/series the paper reports, as text.
+//! Each `*_data_with` function runs the corresponding simulation grid on a
+//! caller-chosen [`BatchRunner`]; each `render_*` produces the same
+//! rows/series the paper reports, as text. The `*_report` renderers and
+//! [`render_repro`] compose what the `mcm` figure commands print.
 
 use serde::Serialize;
 
@@ -11,7 +13,8 @@ use mcm_power::XdrReference;
 
 use crate::error::CoreError;
 use crate::experiment::{Experiment, FrameResult, RealTimeVerdict};
-use crate::runner::{BatchRunner, SerialRunner};
+use crate::runner::BatchRunner;
+use crate::{analysis, charts};
 
 /// The clock frequencies of Fig. 3's x-axis (the DDR2 span the paper
 /// restricts the interface clock to).
@@ -127,13 +130,9 @@ pub struct Fig3Data {
     pub realtime_ms: f64,
 }
 
-/// Runs the Fig. 3 grid: one 720p30 frame per (channel count, clock).
-pub fn fig3_data() -> Result<Fig3Data, CoreError> {
-    fig3_data_with(&SerialRunner)
-}
-
-/// [`fig3_data`] on a caller-chosen executor (e.g. `mcm-sweep`'s parallel,
-/// cached runner). The grid is submitted as one batch in row-major order.
+/// Runs the Fig. 3 grid, one 720p30 frame per (channel count, clock), on a
+/// caller-chosen executor (e.g. `mcm-sweep`'s parallel, cached runner).
+/// The grid is submitted as one batch in row-major order.
 pub fn fig3_data_with(runner: &dyn BatchRunner) -> Result<Fig3Data, CoreError> {
     let experiments: Vec<Experiment> = CHANNELS
         .iter()
@@ -212,12 +211,8 @@ pub struct FormatGridData {
     pub cells: Vec<Vec<Cell>>,
 }
 
-/// Runs the Fig. 4/Fig. 5 grid at 400 MHz.
-pub fn format_grid_data() -> Result<FormatGridData, CoreError> {
-    format_grid_data_with(&SerialRunner)
-}
-
-/// [`format_grid_data`] on a caller-chosen executor; one batch, row-major.
+/// Runs the Fig. 4/Fig. 5 grid at 400 MHz on a caller-chosen executor;
+/// one batch, row-major.
 pub fn format_grid_data_with(runner: &dyn BatchRunner) -> Result<FormatGridData, CoreError> {
     let experiments: Vec<Experiment> = CHANNELS
         .iter()
@@ -330,12 +325,8 @@ pub struct XdrComparison {
     pub rows: Vec<(String, f64, f64)>,
 }
 
-/// Runs the XDR comparison over all feasible formats at 8 × 400 MHz.
-pub fn xdr_data() -> Result<XdrComparison, CoreError> {
-    xdr_data_with(&SerialRunner)
-}
-
-/// [`xdr_data`] on a caller-chosen executor.
+/// Runs the XDR comparison over all feasible formats at 8 × 400 MHz on a
+/// caller-chosen executor.
 pub fn xdr_data_with(runner: &dyn BatchRunner) -> Result<XdrComparison, CoreError> {
     let xdr = XdrReference::cell_be();
     let experiments: Vec<Experiment> = HdOperatingPoint::ALL
@@ -543,6 +534,98 @@ pub fn render_table2(channels: u32) -> String {
     out
 }
 
+/// `mcm fig3`: the Fig. 3 table, its 400 MHz bar chart and the two
+/// doubling speedups the conclusions rest on.
+pub fn render_fig3_report(d: &Fig3Data) -> String {
+    format!(
+        "{}\n{}\n{}",
+        render_fig3(d),
+        charts::fig3_chart(d, FIG45_CLOCK_MHZ),
+        render_speedups(d, "close to 2x")
+    )
+}
+
+/// `mcm fig5`: the Fig. 5 table, then one bar chart per format.
+pub fn render_fig5_report(d: &FormatGridData) -> String {
+    let mut out = render_fig5(d);
+    out.push('\n');
+    for idx in 0..d.points.len() {
+        out += &charts::fig5_chart(d, idx);
+        out.push('\n');
+    }
+    out
+}
+
+/// `mcm repro`: every table and figure in paper order, then the
+/// conclusions' minimum channel counts read off the Fig. 4/5 grid.
+pub fn render_repro(
+    t1: &Table1Data,
+    f3: &Fig3Data,
+    grid: &FormatGridData,
+    xdr: &XdrComparison,
+) -> String {
+    let rule = "=".repeat(62);
+    let mut out = format!(
+        "{rule}\n A case for multi-channel memories in video recording\n \
+         (DATE 2009) — full reproduction\n{rule}\n\n"
+    );
+    out += &render_table1(t1);
+    out.push('\n');
+    out += &render_table2(4);
+    out.push('\n');
+    out += &render_fig3(f3);
+    out += &render_speedups(f3, "~2x");
+    out.push('\n');
+    out += &render_fig4(grid);
+    out.push('\n');
+    out += &render_fig5(grid);
+    out.push('\n');
+    out += &render_xdr(xdr);
+    out += &format!("\nConclusions check — minimum channels at {FIG45_CLOCK_MHZ} MHz:\n");
+    for (col, point) in grid.points.iter().enumerate() {
+        // The fewest channels whose cell passes `ok` (rows ascend).
+        let fewest = |ok: fn(&Cell) -> bool| {
+            grid.channels
+                .iter()
+                .zip(&grid.cells)
+                .find(|(_, row)| ok(&row[col]))
+                .map_or("none".to_string(), |(ch, _)| format!("{ch} ch"))
+        };
+        out += &format!(
+            "  {point}: {} (with margin: {})\n",
+            fewest(|c| !c.fails),
+            fewest(|c| !c.fails && !c.marginal)
+        );
+    }
+    out
+}
+
+/// The files `mcm repro --csv <dir>` writes, as (file name, contents).
+pub fn repro_csv(
+    t1: &Table1Data,
+    f3: &Fig3Data,
+    grid: &FormatGridData,
+) -> [(&'static str, String); 3] {
+    [
+        ("table1.csv", table1_csv(t1)),
+        ("fig3.csv", fig3_csv(f3)),
+        ("fig45.csv", format_grid_csv(grid)),
+    ]
+}
+
+/// The mean speedups per channel and per clock doubling, against the
+/// paper's `paper` claim.
+fn render_speedups(d: &Fig3Data, paper: &str) -> String {
+    let mut out = String::new();
+    if let Some(s) = analysis::channel_doubling_speedup(d) {
+        out += &format!("  Mean speedup per channel doubling: {s:.2}x (paper: {paper})\n");
+    }
+    if let Some(s) = analysis::clock_doubling_speedup(d) {
+        out += &format!("  Mean speedup per clock doubling:   {s:.2}x (paper: {paper})\n");
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,25 +676,40 @@ mod tests {
 
     #[test]
     fn fig3_and_fig4_render_synthetic_grids() {
+        // Both doubling pairs (200→400, 266→533 MHz) and one channel
+        // doubling, each exactly 2x.
         let d = Fig3Data {
-            clocks_mhz: vec![200, 400],
+            clocks_mhz: vec![200, 266, 400, 533],
             channels: vec![1, 2],
-            cells: vec![
-                vec![
-                    Cell::synthetic_for_tests(46.9),
-                    Cell::synthetic_for_tests(26.2),
-                ],
-                vec![
-                    Cell::synthetic_for_tests(23.4),
-                    Cell::synthetic_for_tests(13.1),
-                ],
-            ],
+            cells: [[46.9, 36.0, 23.45, 18.0], [23.45, 18.0, 11.725, 9.0]]
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|&ms| Cell::synthetic_for_tests(ms))
+                        .collect()
+                })
+                .collect(),
             realtime_ms: 33.3,
         };
         let text = render_fig3(&d);
         assert!(text.contains("46.88") || text.contains("46.90"), "{text}");
         assert!(text.contains("Real-time requirement"));
         assert!(text.contains("200"));
+        // `mcm fig3` adds the 400 MHz chart and both speedup lines.
+        let report = render_fig3_report(&d);
+        assert!(report.starts_with(&text), "{report}");
+        assert!(
+            report.contains("720p30 access time @ 400 MHz (| = 30 fps budget)\n  1 ch "),
+            "{report}"
+        );
+        assert!(report.contains("\n  2 ch "), "{report}");
+        assert!(
+            report.ends_with(
+                "  Mean speedup per channel doubling: 2.00x (paper: close to 2x)\n  \
+                 Mean speedup per clock doubling:   2.00x (paper: close to 2x)\n"
+            ),
+            "{report}"
+        );
 
         let grid = FormatGridData {
             points: vec!["720p30".into(), "1080p30".into()],
@@ -631,6 +729,101 @@ mod tests {
         assert!(f4.contains("720p30") && f4.contains("56.90"), "{f4}");
         let f5 = render_fig5(&grid);
         assert!(f5.contains("104")); // synthetic 100 core + 4 interface
+                                     // `mcm fig5` adds one chart per format.
+        let report = render_fig5_report(&grid);
+        assert!(report.starts_with(&f5), "{report}");
+        assert_eq!(report.matches("  power for ").count(), 2, "{report}");
+        assert!(report.contains("  power for 720p30 (0 = fails"), "{report}");
+        assert!(
+            report.contains("  power for 1080p30 (0 = fails"),
+            "{report}"
+        );
+        assert_eq!(report.matches(" 104.0 mW\n").count(), 4, "{report}");
+        assert!(report.ends_with(" 104.0 mW\n\n"), "{report}");
+    }
+
+    #[test]
+    fn repro_reads_the_conclusions_off_the_format_grid() {
+        let meets = Cell::synthetic_for_tests(20.0);
+        let marginal = Cell {
+            verdict: Some("MARGINAL".into()),
+            marginal: true,
+            ..Cell::synthetic_for_tests(30.0)
+        };
+        let fails = Cell {
+            verdict: Some("FAILS".into()),
+            fails: true,
+            ..Cell::synthetic_for_tests(40.0)
+        };
+        let infeasible =
+            Cell::from_result(Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow {
+                needed: 165 << 20,
+                capacity: 64 << 20,
+            })))
+            .unwrap();
+        let grid = FormatGridData {
+            points: vec!["720p30".into(), "1080p30".into(), "2160p30".into()],
+            channels: vec![1, 2, 4],
+            cells: vec![
+                vec![meets.clone(), fails.clone(), infeasible.clone()],
+                vec![meets.clone(), marginal, infeasible],
+                vec![meets.clone(), meets.clone(), fails],
+            ],
+        };
+        let f3 = Fig3Data {
+            clocks_mhz: vec![200, 400],
+            channels: vec![1, 2],
+            cells: vec![
+                vec![meets.clone(), meets.clone()],
+                vec![meets.clone(), meets],
+            ],
+            realtime_ms: 33.3,
+        };
+        let t1 = table1_data();
+        let xdr = XdrComparison {
+            peak_gbps: 25.6,
+            xdr_gbps: 25.6,
+            rows: vec![("720p30".into(), 205.0, 0.041)],
+        };
+        let out = render_repro(&t1, &f3, &grid, &xdr);
+        assert!(
+            out.starts_with(&format!("{}\n A case", "=".repeat(62))),
+            "{out}"
+        );
+        assert!(out.contains(&render_fig5(&grid)), "{out}");
+        assert!(
+            out.contains("  Mean speedup per channel doubling: 1.00x (paper: ~2x)\n"),
+            "{out}"
+        );
+        assert!(
+            out.ends_with(
+                "4.1% of XDR\n\nConclusions check — minimum channels at 400 MHz:\n  \
+                 720p30: 1 ch (with margin: 1 ch)\n  \
+                 1080p30: 2 ch (with margin: 4 ch)\n  \
+                 2160p30: none (with margin: none)\n"
+            ),
+            "{out}"
+        );
+
+        // `mcm repro --csv <dir>` writes these three files.
+        let files = repro_csv(&t1, &f3, &grid);
+        let names: Vec<&str> = files.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["table1.csv", "fig3.csv", "fig45.csv"]);
+        let [(_, table1), (_, fig3), (_, fig45)] = &files;
+        assert_eq!(table1.lines().count(), 1 + 11 + 1, "{table1}");
+        assert!(table1.starts_with("stage,"), "{table1}");
+        assert_eq!(fig3.lines().count(), 1 + 2 * 2, "{fig3}");
+        assert!(fig3.contains("\n400,2,20.0000,meets\n"), "{fig3}");
+        assert_eq!(fig45.lines().count(), 1 + 3 * 3, "{fig45}");
+        assert!(
+            fig45.starts_with("format,channels,access_ms,core_mw,interface_mw,verdict\n"),
+            "{fig45}"
+        );
+        assert!(
+            fig45.contains("\n1080p30,2,30.0000,100.00,4.00,MARGINAL\n"),
+            "{fig45}"
+        );
+        assert!(fig45.contains("\n2160p30,1,,,,infeasible\n"), "{fig45}");
     }
 
     #[test]

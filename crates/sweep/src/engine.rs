@@ -724,7 +724,7 @@ mod tests {
             }
         }
 
-        // The acceptance criterion: pruning ≥ 30 % of the grid must make
+        // The acceptance bar: pruning ≥ 30 % of the grid must make
         // the sweep measurably faster than simulating everything.
         assert!(
             with.stats.wall < without.stats.wall,
