@@ -1,7 +1,7 @@
 //! Memory-footprint bound (`MCM406`): does the use case's frame-buffer
 //! working set fit the configured channels at all?
 //!
-//! This computes [`FrameLayout`] with *exactly* the options the simulation
+//! This computes [`FrameLayout`](mcm_load::FrameLayout) with *exactly* the options the simulation
 //! engine uses (bank-staggered placement over the full multi-channel
 //! capacity), so the static answer is the engine's answer: a point flagged
 //! here would abort its run with the same `LayoutOverflow`. That turns the
@@ -12,7 +12,7 @@
 //! 256 MiB and fits 2160p30 into one or two channels.
 
 use mcm_channel::MemoryConfig;
-use mcm_load::{FrameLayout, LayoutOptions, LoadError, LoadModel, UseCase};
+use mcm_load::{LayoutOptions, LoadError, LoadModel};
 use mcm_verify::{Diagnostic, Report, Severity};
 use serde_json::json;
 
@@ -20,27 +20,11 @@ use serde_json::json;
 /// leaving little headroom for anything beyond the frame buffers.
 const FOOTPRINT_WARNING: f64 = 0.90;
 
-/// `MCM406` for the paper's Table I chain on one memory configuration.
-///
-/// Equivalent to [`lint_footprint_model`] with the default workload; kept
-/// as the stable entry point for Table I-only callers.
-pub fn lint_footprint(uc: &UseCase, mem: &MemoryConfig) -> Report {
-    // Structural problems are MCM1xx findings; stay silent on them here.
-    if uc.validate().is_err() || mem.channels == 0 {
-        return Report::new();
-    }
-    let (capacity, options) = engine_layout_options(mem);
-    footprint_report(
-        FrameLayout::with_options(uc, &options).map(|l| l.total_bytes()),
-        capacity,
-        mem,
-    )
-}
-
 /// `MCM406` for any [`LoadModel`] on one memory configuration: the model's
 /// full working set (every tenant's buffers, for multi-tenant workloads)
 /// against the channel capacity, with exactly the engine's layout options.
 pub fn lint_footprint_model(model: &dyn LoadModel, mem: &MemoryConfig) -> Report {
+    // Structural problems are MCM1xx findings; stay silent on them here.
     if model.validate().is_err() || mem.channels == 0 {
         return Report::new();
     }
@@ -155,7 +139,12 @@ fn footprint_report(layout: Result<u64, LoadError>, capacity: u64, mem: &MemoryC
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_load::HdOperatingPoint;
+    use mcm_load::{FrameLayout, HdOperatingPoint, TableIModel, UseCase};
+
+    /// The paper's Table I chain at `p`.
+    fn table_i(p: HdOperatingPoint) -> TableIModel {
+        TableIModel::new(UseCase::hd(p))
+    }
 
     #[test]
     fn the_paper_grid_footprints_fit() {
@@ -165,15 +154,15 @@ mod tests {
             HdOperatingPoint::Hd1080p30,
             HdOperatingPoint::Hd1080p60,
         ] {
-            let r = lint_footprint(&UseCase::hd(p), &MemoryConfig::paper(1, 400));
+            let r = lint_footprint_model(&table_i(p), &MemoryConfig::paper(1, 400));
             assert!(r.is_clean(), "{p:?}: {}", r.render_human());
         }
     }
 
     #[test]
     fn uhd_on_one_channel_overflows_with_a_witnessed_406() {
-        let r = lint_footprint(
-            &UseCase::hd(HdOperatingPoint::Uhd2160p30),
+        let r = lint_footprint_model(
+            &table_i(HdOperatingPoint::Uhd2160p30),
             &MemoryConfig::paper(1, 400),
         );
         assert_eq!(r.ids(), vec!["MCM406"], "{}", r.render_human());
@@ -188,15 +177,16 @@ mod tests {
 
     #[test]
     fn table_i_model_matches_the_use_case_entry_point() {
-        use mcm_load::Workload;
+        // The Table I model's working set is the use case's own layout.
         for (p, ch) in [
             (HdOperatingPoint::Hd1080p30, 1),
             (HdOperatingPoint::Uhd2160p30, 1),
         ] {
             let mem = MemoryConfig::paper(ch, 400);
-            let uc = UseCase::hd(p);
-            let via_uc = lint_footprint(&uc, &mem);
-            let via_model = lint_footprint_model(Workload::TableI.model(&uc).as_ref(), &mem);
+            let (capacity, options) = engine_layout_options(&mem);
+            let layout = FrameLayout::with_options(&UseCase::hd(p), &options);
+            let via_uc = footprint_report(layout.map(|l| l.total_bytes()), capacity, &mem);
+            let via_model = lint_footprint_model(&table_i(p), &mem);
             assert_eq!(via_uc.ids(), via_model.ids());
             assert_eq!(via_uc.render_human(), via_model.render_human());
         }
@@ -209,7 +199,7 @@ mod tests {
         // contending tenants' disjoint working sets do not.
         let mem = MemoryConfig::paper(1, 400);
         let uc = UseCase::hd(HdOperatingPoint::Hd1080p30);
-        assert!(lint_footprint(&uc, &mem).is_clean());
+        assert!(lint_footprint_model(&TableIModel::new(uc), &mem).is_clean());
         let mt = Workload::MultiTenant(8).model(&uc);
         let r = lint_footprint_model(mt.as_ref(), &mem);
         assert!(r.has_errors(), "{}", r.render_human());
@@ -218,8 +208,8 @@ mod tests {
 
     #[test]
     fn uhd_fits_on_enough_channels() {
-        let r = lint_footprint(
-            &UseCase::hd(HdOperatingPoint::Uhd2160p30),
+        let r = lint_footprint_model(
+            &table_i(HdOperatingPoint::Uhd2160p30),
             &MemoryConfig::paper(8, 400),
         );
         assert!(r.is_clean(), "{}", r.render_human());
@@ -232,7 +222,7 @@ mod tests {
         for channels in [1, 2] {
             let mut mem = MemoryConfig::paper(channels, 400);
             mem.controller.cluster.geometry = mcm_dram::Geometry::large_capacity_mobile_ddr();
-            let r = lint_footprint(&UseCase::hd(HdOperatingPoint::Uhd2160p30), &mem);
+            let r = lint_footprint_model(&table_i(HdOperatingPoint::Uhd2160p30), &mem);
             assert!(r.is_clean(), "{channels} ch: {}", r.render_human());
         }
     }

@@ -9,13 +9,13 @@
 //!   DRAM parameters must close — tRC ≥ tRAS + tRP, the four-activate
 //!   window vs 4×tRRD, the tRFC/tREFI refresh duty cycle, and power-down
 //!   entry/exit consistency (tXP/tXSR/tCKE).
-//! * **Bandwidth roofline** ([`lint_roofline`], `MCM405`): the workload's
+//! * **Bandwidth roofline** ([`lint_roofline_model`], `MCM405`): the workload's
 //!   sustained demand from the selected load model (the paper's Table I
 //!   chain by default, or any [`mcm_load::LoadModel`]) against an analytic
 //!   upper bound on achievable bandwidth derived from the timing tables
 //!   (data bus, activate-rate ceilings, refresh derating). A point above
 //!   the roofline cannot meet its frame deadline under *any* scheduler.
-//! * **Memory footprint** ([`lint_footprint`], `MCM406`): the frame-buffer
+//! * **Memory footprint** ([`lint_footprint_model`], `MCM406`): the frame-buffer
 //!   layout is computed with exactly the options the engine uses, turning
 //!   the 64 MiB-per-channel ceiling into an explicit, witnessed diagnostic
 //!   instead of a silent skip.
@@ -46,8 +46,8 @@ mod footprint;
 mod roofline;
 mod timing;
 
-pub use footprint::{lint_footprint, lint_footprint_model};
-pub use roofline::{lint_roofline, lint_roofline_model};
+pub use footprint::lint_footprint_model;
+pub use roofline::lint_roofline_model;
 pub use timing::lint_timing;
 
 use mcm_core::Experiment;

@@ -17,32 +17,20 @@
 //! percent to turnarounds and bank conflicts, so such points are at risk.
 
 use mcm_channel::MemoryConfig;
-use mcm_load::{LoadModel, UseCase};
+use mcm_load::LoadModel;
 use mcm_verify::{Diagnostic, Report, Severity};
 use serde_json::json;
 
 /// Demand above this fraction of the roofline is flagged as at-risk.
 const UTILIZATION_WARNING: f64 = 0.90;
 
-/// `MCM405` for the paper's Table I chain on one memory configuration.
-///
-/// Equivalent to [`lint_roofline_model`] with the default workload; kept
-/// as the stable entry point for Table I-only callers.
-pub fn lint_roofline(uc: &UseCase, mem: &MemoryConfig) -> Report {
-    // Structural problems (zero channels, inconsistent use case, an
-    // unresolvable clock) belong to MCM1xx / MCM401; stay silent here.
-    if uc.validate().is_err() {
-        return Report::new();
-    }
-    roofline_report(uc.table_row().bits_per_second() as f64 / 8.0, mem)
-}
-
 /// `MCM405` for any [`LoadModel`] on one memory configuration: the model's
 /// sustained demand (`bits_per_second`) against the timing-derated peak.
 /// A multi-tenant model's demand is the sum over tenants, so contention
 /// for the roofline is priced in before any simulation runs.
 pub fn lint_roofline_model(model: &dyn LoadModel, mem: &MemoryConfig) -> Report {
-    // An inconsistent model is an MCM1xx / construction-time problem.
+    // Structural problems (zero channels, an inconsistent model, an
+    // unresolvable clock) belong to MCM1xx / MCM401; stay silent here.
     if model.validate().is_err() {
         return Report::new();
     }
@@ -162,10 +150,15 @@ fn roofline_report(demand: f64, mem: &MemoryConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcm_load::HdOperatingPoint;
+    use mcm_load::{HdOperatingPoint, TableIModel, UseCase};
 
     fn uc(p: HdOperatingPoint) -> UseCase {
         UseCase::hd(p)
+    }
+
+    /// The paper's Table I chain at `p`.
+    fn table_i(p: HdOperatingPoint) -> TableIModel {
+        TableIModel::new(uc(p))
     }
 
     #[test]
@@ -176,11 +169,11 @@ mod tests {
             HdOperatingPoint::Hd1080p30,
             HdOperatingPoint::Hd1080p60,
         ] {
-            let r = lint_roofline(&uc(p), &MemoryConfig::paper(4, 400));
+            let r = lint_roofline_model(&table_i(p), &MemoryConfig::paper(4, 400));
             assert!(r.is_clean(), "{p:?}: {}", r.render_human());
         }
-        let r = lint_roofline(
-            &uc(HdOperatingPoint::Uhd2160p30),
+        let r = lint_roofline_model(
+            &table_i(HdOperatingPoint::Uhd2160p30),
             &MemoryConfig::paper(8, 400),
         );
         assert!(r.is_clean(), "{}", r.render_human());
@@ -190,8 +183,8 @@ mod tests {
     fn uhd_on_four_channels_breaks_the_roofline() {
         // 15.8 GB/s of demand vs ~12.6 GB/s of derated peak: infeasible
         // under any scheduler, which the dynamic verdict confirms.
-        let r = lint_roofline(
-            &uc(HdOperatingPoint::Uhd2160p30),
+        let r = lint_roofline_model(
+            &table_i(HdOperatingPoint::Uhd2160p30),
             &MemoryConfig::paper(4, 400),
         );
         assert_eq!(r.ids(), vec!["MCM405"], "{}", r.render_human());
@@ -202,8 +195,8 @@ mod tests {
     fn near_roofline_demand_is_a_warning_not_an_error() {
         // 1080p60 needs ~8.0 GB/s; 4 channels at 266 MHz deliver ~8.4 GB/s
         // after the refresh derate — above 90 % utilization, below 100 %.
-        let r = lint_roofline(
-            &uc(HdOperatingPoint::Hd1080p60),
+        let r = lint_roofline_model(
+            &table_i(HdOperatingPoint::Hd1080p60),
             &MemoryConfig::paper(4, 266),
         );
         assert_eq!(r.ids(), vec!["MCM405"], "{}", r.render_human());
@@ -213,11 +206,11 @@ mod tests {
 
     #[test]
     fn table_i_model_matches_the_use_case_entry_point() {
-        use mcm_load::Workload;
+        // The Table I model's demand is the use case's own Table I row.
         for p in [HdOperatingPoint::Hd1080p60, HdOperatingPoint::Uhd2160p30] {
             let mem = MemoryConfig::paper(4, 400);
-            let via_uc = lint_roofline(&uc(p), &mem);
-            let via_model = lint_roofline_model(Workload::TableI.model(&uc(p)).as_ref(), &mem);
+            let via_uc = roofline_report(uc(p).table_row().bits_per_second() as f64 / 8.0, &mem);
+            let via_model = lint_roofline_model(&table_i(p), &mem);
             assert_eq!(via_uc.ids(), via_model.ids());
             assert_eq!(via_uc.render_human(), via_model.render_human());
         }
@@ -232,7 +225,7 @@ mod tests {
         // recorders plus playback and display).
         let mem = MemoryConfig::paper(4, 400);
         let point = uc(HdOperatingPoint::Hd1080p60);
-        assert!(lint_roofline(&point, &mem).is_clean());
+        assert!(lint_roofline_model(&table_i(HdOperatingPoint::Hd1080p60), &mem).is_clean());
         let vvc = Workload::parse("vvc-record").unwrap().model(&point);
         let r = lint_roofline_model(vvc.as_ref(), &mem);
         assert!(
@@ -249,7 +242,7 @@ mod tests {
     fn zero_channels_is_not_this_rules_problem() {
         let mut mem = MemoryConfig::paper(4, 400);
         mem.channels = 0;
-        let r = lint_roofline(&uc(HdOperatingPoint::Uhd2160p30), &mem);
+        let r = lint_roofline_model(&table_i(HdOperatingPoint::Uhd2160p30), &mem);
         assert!(r.is_clean());
     }
 }

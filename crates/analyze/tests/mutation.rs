@@ -5,10 +5,10 @@
 //! of the MCM4xx catalogue, in the same style as `mcm-verify`'s trace
 //! mutation suite.
 
-use mcm_analyze::{analyze_experiment, lint_footprint, lint_roofline, lint_timing};
+use mcm_analyze::{analyze_experiment, lint_footprint_model, lint_roofline_model, lint_timing};
 use mcm_core::Experiment;
 use mcm_dram::{Geometry, TimingParams};
-use mcm_load::HdOperatingPoint;
+use mcm_load::{HdOperatingPoint, TableIModel};
 use mcm_verify::Severity;
 
 fn base() -> (TimingParams, Geometry) {
@@ -96,7 +96,7 @@ fn mcm405_demand_over_the_roofline() {
 #[test]
 fn mcm406_frame_buffers_that_do_not_fit() {
     let exp = Experiment::paper(HdOperatingPoint::Uhd2160p30, 1, 400);
-    let r = lint_footprint(&exp.use_case, &exp.memory);
+    let r = lint_footprint_model(&TableIModel::new(exp.use_case), &exp.memory);
     assert_eq!(r.ids(), vec!["MCM406"], "{}", r.render_human());
     assert!(r.has_errors());
     // The whole-experiment pass stacks the bandwidth error on top.
@@ -111,9 +111,9 @@ fn feasible_points_stay_silent_under_both_feasibility_rules() {
         (HdOperatingPoint::Uhd2160p30, 8),
     ] {
         let exp = Experiment::paper(point, channels, 400);
-        let r = lint_roofline(&exp.use_case, &exp.memory);
+        let r = lint_roofline_model(&TableIModel::new(exp.use_case), &exp.memory);
         assert!(r.is_clean(), "{point:?} x{channels}: {}", r.render_human());
-        let r = lint_footprint(&exp.use_case, &exp.memory);
+        let r = lint_footprint_model(&TableIModel::new(exp.use_case), &exp.memory);
         assert!(r.is_clean(), "{point:?} x{channels}: {}", r.render_human());
     }
 }

@@ -370,19 +370,6 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn parse_point(s: &str) -> Result<HdOperatingPoint, CliError> {
-    match s {
-        "720p30" => Ok(HdOperatingPoint::Hd720p30),
-        "720p60" => Ok(HdOperatingPoint::Hd720p60),
-        "1080p30" => Ok(HdOperatingPoint::Hd1080p30),
-        "1080p60" => Ok(HdOperatingPoint::Hd1080p60),
-        "2160p30" => Ok(HdOperatingPoint::Uhd2160p30),
-        _ => Err(CliError(format!(
-            "unknown format '{s}' (expected 720p30, 720p60, 1080p30, 1080p60 or 2160p30)"
-        ))),
-    }
-}
-
 fn parse_power_down(s: &str) -> Result<PowerDownPolicy, CliError> {
     if s == "immediate" {
         return Ok(PowerDownPolicy::immediate());
@@ -440,7 +427,10 @@ fn parse_run_options<'a>(mut args: impl Iterator<Item = &'a str>) -> Result<RunO
                 .ok_or_else(|| CliError(format!("flag '{flag}' needs a value")))
         };
         match flag {
-            "--format" => opts.point = parse_point(value()?)?,
+            "--format" => {
+                opts.point =
+                    HdOperatingPoint::parse(value()?).map_err(|e| CliError(e.to_string()))?
+            }
             "--channels" => {
                 opts.channels = value()?
                     .parse()
@@ -666,7 +656,9 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                     "--formats" => {
                         a.points = value()?
                             .split(',')
-                            .map(parse_point)
+                            .map(|v| {
+                                HdOperatingPoint::parse(v).map_err(|e| CliError(e.to_string()))
+                            })
                             .collect::<Result<_, _>>()?
                     }
                     "--channels" => {

@@ -1,6 +1,6 @@
 //! Command execution for the `mcm` binary.
 
-use mcm_core::{analysis, figures, CoreError, Experiment};
+use mcm_core::{analysis, figures, CoreError, Experiment, Pacing};
 use mcm_load::UseCase;
 use mcm_sweep::ParallelRunner;
 
@@ -45,13 +45,35 @@ fn load_fault_plan(o: &RunOptions) -> Result<Option<mcm_fault::FaultPlan>, CliEr
     Ok(Some(plan))
 }
 
-/// Commands that run the healthy single-frame engine reject `--faults`
-/// loudly instead of silently ignoring the plan.
-fn reject_faults(o: &RunOptions, what: &str) -> Result<(), CliError> {
-    if o.faults.is_some() {
-        return Err(CliError(format!(
-            "--faults is not supported by 'mcm {what}' (use 'mcm run' or 'mcm check')"
-        )));
+/// Run flags that some commands do not apply.
+#[derive(Debug, Clone, Copy)]
+enum RunFlag {
+    Faults,
+    Paced,
+    Verify,
+}
+
+use RunFlag::{Faults, Paced, Verify};
+
+/// Refuses every flag in `unapplied` that `o` sets: a command rejects a run
+/// flag it does not apply loudly instead of printing the same answer with
+/// and without it.
+fn reject_unapplied(o: &RunOptions, what: &str, unapplied: &[RunFlag]) -> Result<(), CliError> {
+    for flag in unapplied {
+        let (given, name, hint) = match flag {
+            Faults => (
+                o.faults.is_some(),
+                "--faults",
+                " (use 'mcm run' or 'mcm check')",
+            ),
+            Paced => (o.pacing == Pacing::Paced, "--paced", ""),
+            Verify => (o.verify, "--verify", ""),
+        };
+        if given {
+            return Err(CliError(format!(
+                "{name} is not supported by 'mcm {what}'{hint}"
+            )));
+        }
     }
     Ok(())
 }
@@ -306,15 +328,15 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         }
         Command::Run(o) => run_one(o),
         Command::Headroom(o) => {
-            reject_faults(o, "headroom")?;
+            reject_unapplied(o, "headroom", &[Faults, Verify])?;
             run_headroom(o).map_err(sim_err)
         }
         Command::Steady { options, frames } => {
-            reject_faults(options, "steady")?;
+            reject_unapplied(options, "steady", &[Faults, Paced])?;
             run_steady(options, *frames).map_err(sim_err)
         }
         Command::Profile(o) => {
-            reject_faults(o, "profile")?;
+            reject_unapplied(o, "profile", &[Faults, Paced, Verify])?;
             let exp = build_experiment(o);
             let p = mcm_core::profile::run_profiled(&exp).map_err(sim_err)?;
             let mut out = p.render();
@@ -328,7 +350,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             Ok(out)
         }
         Command::Timeline { options, cycles } => {
-            reject_faults(options, "timeline")?;
+            reject_unapplied(options, "timeline", &[Faults, Paced, Verify])?;
             timeline(options, *cycles)
         }
         Command::Datasheet { device, clock_mhz } => {
@@ -347,7 +369,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 .map_err(|e| CliError(format!("datasheet: {e}")))
         }
         Command::ConfigDump(o) => {
-            reject_faults(o, "config-dump")?;
+            reject_unapplied(o, "config-dump", &[Faults, Verify])?;
             let exp = build_experiment(o);
             serde_json::to_string_pretty(&exp)
                 .map(|mut s| {
@@ -375,18 +397,18 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             ))
         }
         Command::TraceDump { options, out } => {
-            reject_faults(options, "trace-dump")?;
+            reject_unapplied(options, "trace-dump", &[Faults, Paced, Verify])?;
             trace_dump(options, out)
         }
         Command::TraceRun { options, input } => {
-            reject_faults(options, "trace-run")?;
+            reject_unapplied(options, "trace-run", &[Faults, Paced, Verify])?;
             trace_run(options, input)
         }
         Command::Check(o) => run_check(o),
         Command::Lint(o) => run_lint(o),
         Command::Sweep(a) => run_sweep_cmd(a),
         Command::Report(a) => {
-            reject_faults(&a.options, "report")?;
+            reject_unapplied(&a.options, "report", &[Faults, Verify])?;
             run_report(a)
         }
         Command::Fault(a) => run_fault(a),
@@ -698,7 +720,7 @@ fn run_check(o: &RunOptions) -> Result<String, CliError> {
 /// a non-zero exit; every finding carries its machine-readable witness in
 /// the JSON output.
 fn run_lint(o: &RunOptions) -> Result<String, CliError> {
-    reject_faults(o, "lint")?;
+    reject_unapplied(o, "lint", &[Faults, Paced, Verify])?;
     let exp = build_experiment(o);
     let mut findings = mcm_verify::lint_all(&exp.use_case, &exp.memory, &exp.interface);
     findings.merge(mcm_analyze::analyze_experiment(&exp));
@@ -1854,6 +1876,32 @@ mod fault_cli_tests {
             assert!(
                 err.to_string().contains("--faults is not supported"),
                 "{sub}: {err}"
+            );
+        }
+        // Every other run flag a command does not apply is refused too,
+        // before any simulation starts.
+        for (args, flag) in [
+            (&["steady", "--paced"][..], "--paced"),
+            (&["profile", "--paced"], "--paced"),
+            (&["timeline", "--paced"], "--paced"),
+            (&["trace-dump", "--out", "-", "--paced"], "--paced"),
+            (&["trace-run", "--in", "t.trace", "--paced"], "--paced"),
+            (&["lint", "--paced"], "--paced"),
+            (&["headroom", "--verify"], "--verify"),
+            (&["profile", "--verify"], "--verify"),
+            (&["timeline", "--verify"], "--verify"),
+            (&["trace-dump", "--out", "-", "--verify"], "--verify"),
+            (&["trace-run", "--in", "t.trace", "--verify"], "--verify"),
+            (&["config-dump", "--verify"], "--verify"),
+            (&["report", "--verify"], "--verify"),
+            (&["lint", "--verify"], "--verify"),
+        ] {
+            let err = execute(&parse_args(args.iter().copied()).unwrap()).unwrap_err();
+            let sub = args[0];
+            assert_eq!(
+                err.to_string(),
+                format!("{flag} is not supported by 'mcm {sub}'"),
+                "{args:?}"
             );
         }
         let cmd = parse_args(["run", "--faults", "/nonexistent/plan.json"]).unwrap();

@@ -210,21 +210,13 @@ pub fn run_event_driven(exp: &Experiment, window: u32) -> Result<EventDrivenResu
     run_event_driven_configured(exp, window, QueueKind::default(), None)
 }
 
-/// [`run_event_driven`] with an optional instrumentation sink: the kernel
+/// [`run_event_driven`] with an explicit kernel event-queue implementation
+/// and an optional instrumentation sink. The cross-engine parity harness
+/// runs the same experiment on [`QueueKind::Calendar`] and
+/// [`QueueKind::BinaryHeap`] and asserts identical results; benchmarks use
+/// it to measure the queue swap. With a recorder attached, the kernel
 /// reports every fired event ([`mcm_obs::Recorder::record_sim_event`]) and
 /// each channel controller reports commands, row outcomes, and latencies.
-pub fn run_event_driven_observed(
-    exp: &Experiment,
-    window: u32,
-    recorder: Option<std::sync::Arc<dyn mcm_obs::Recorder>>,
-) -> Result<EventDrivenResult, CoreError> {
-    run_event_driven_configured(exp, window, QueueKind::default(), recorder)
-}
-
-/// [`run_event_driven_observed`] with an explicit kernel event-queue
-/// implementation — the cross-engine parity harness runs the same
-/// experiment on [`QueueKind::Calendar`] and [`QueueKind::BinaryHeap`] and
-/// asserts identical results; benchmarks use it to measure the queue swap.
 pub fn run_event_driven_configured(
     exp: &Experiment,
     window: u32,
@@ -420,7 +412,8 @@ mod tests {
     fn observed_event_run_reports_kernel_and_channels() {
         let e = exp(2);
         let rec = std::sync::Arc::new(mcm_obs::StatsRecorder::new());
-        let result = run_event_driven_observed(&e, 8, Some(rec.clone())).unwrap();
+        let result =
+            run_event_driven_configured(&e, 8, QueueKind::default(), Some(rec.clone())).unwrap();
         let report = rec.report();
         // Every kernel event was recorded, and both channels retired work.
         assert_eq!(report.kernel.events, result.events);

@@ -526,6 +526,13 @@ impl Experiment {
                     .into(),
             });
         }
+        if self.pacing == Pacing::Paced && options.frames > 1 {
+            return Err(CoreError::BadParam {
+                reason: "paced arrivals are single-frame only: a steady session submits each \
+                         frame's operations at its frame boundary"
+                    .into(),
+            });
+        }
         let exp = if options.op_limit.is_some() {
             let mut e = self.clone();
             e.op_limit = options.op_limit;

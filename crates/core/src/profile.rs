@@ -11,7 +11,7 @@ use mcm_load::{LayoutOptions, Stage};
 use mcm_sim::SimTime;
 
 use crate::error::CoreError;
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, Pacing};
 
 /// One stage's share of the frame.
 #[derive(Debug, Clone, Copy)]
@@ -81,6 +81,13 @@ impl FrameProfile {
 /// pipeline stages. Multi-tenant workloads interleave tenants, so a stage's
 /// time there aggregates every tenant's share of that stage.
 pub fn run_profiled(exp: &Experiment) -> Result<FrameProfile, CoreError> {
+    if exp.pacing == Pacing::Paced {
+        return Err(CoreError::BadParam {
+            reason: "the stage profile submits every operation at cycle 0; paced arrivals \
+                     are not supported"
+                .into(),
+        });
+    }
     let mut memory = MemorySubsystem::new(&exp.memory)?;
     let geometry = exp.memory.controller.cluster.geometry;
     let layout_opts = LayoutOptions::bank_staggered(
@@ -180,6 +187,16 @@ mod tests {
         let text = p.render();
         assert!(text.contains("Video encoder"));
         assert!(text.contains("total"));
+    }
+
+    #[test]
+    fn paced_profiles_rejected() {
+        let mut exp = Experiment::paper(HdOperatingPoint::Hd720p30, 4, 400);
+        exp.pacing = Pacing::Paced;
+        assert!(matches!(
+            run_profiled(&exp),
+            Err(CoreError::BadParam { .. })
+        ));
     }
 
     #[test]

@@ -188,6 +188,13 @@ mod tests {
     }
 
     #[test]
+    fn paced_sessions_rejected() {
+        let mut e = exp();
+        e.pacing = crate::Pacing::Paced;
+        assert!(matches!(steady(&e, 3), Err(CoreError::BadParam { .. })));
+    }
+
+    #[test]
     fn frames_are_stable_after_warmup() {
         let r = steady(&exp(), 5).unwrap();
         assert_eq!(r.frames.len(), 5);

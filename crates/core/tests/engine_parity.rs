@@ -23,6 +23,8 @@ const LEVELS: [HdOperatingPoint; 5] = [
     HdOperatingPoint::Uhd2160p30,
 ];
 const CHANNELS: [u32; 4] = [1, 2, 4, 8];
+/// The paper's interface clocks, MHz.
+const CLOCKS_MHZ: [u64; 5] = [200, 266, 333, 400, 533];
 
 fn quick(point: HdOperatingPoint, channels: u32) -> Experiment {
     let mut e = Experiment::paper(point, channels, 400);
@@ -81,40 +83,62 @@ fn window_extremes_agree_between_queues() {
 
 /// Attaching a recorder forces the controller and device onto the
 /// unbatched per-command path; the batched fast path must produce the
-/// same frame, byte for byte and picosecond for picosecond.
+/// same frame, byte for byte and picosecond for picosecond, and the same
+/// energy bit for bit: observing a run never changes its result.
 #[test]
 fn batched_admission_matches_per_command_issue() {
     for point in LEVELS {
-        for channels in [1, 2, 4] {
-            let e = quick(point, channels);
-            let fast = e.run_with(&RunOptions::default());
-            let slow = e.run_with(
-                &RunOptions::default()
-                    .with_recorder(std::sync::Arc::new(mcm_obs::StatsRecorder::new())),
-            );
-            match (fast, slow) {
-                (Ok(f), Ok(s)) => {
-                    let f = f.into_frame().unwrap();
-                    let s = s.into_frame().unwrap();
-                    assert_eq!(f.access_time, s.access_time, "{point:?} x {channels}ch");
-                    assert_eq!(f.verdict, s.verdict, "{point:?} x {channels}ch");
-                    assert_eq!(f.simulated_bytes, s.simulated_bytes);
-                    for (cf, cs) in f.report.channels.iter().zip(&s.report.channels) {
+        for channels in CHANNELS {
+            for clock_mhz in CLOCKS_MHZ {
+                let mut e = Experiment::paper(point, channels, clock_mhz);
+                e.op_limit = Some(3_000);
+                let cell = format!("{point:?} x {channels}ch @ {clock_mhz} MHz");
+                let fast = e.run_with(&RunOptions::default());
+                let slow = e.run_with(
+                    &RunOptions::default()
+                        .with_recorder(std::sync::Arc::new(mcm_obs::StatsRecorder::new())),
+                );
+                match (fast, slow) {
+                    (Ok(f), Ok(s)) => {
+                        let f = f.into_frame().unwrap();
+                        let s = s.into_frame().unwrap();
+                        assert_eq!(f.access_time, s.access_time, "{cell}");
+                        assert_eq!(f.verdict, s.verdict, "{cell}");
+                        assert_eq!(f.simulated_bytes, s.simulated_bytes, "{cell}");
                         assert_eq!(
-                            cf.ctrl.row_hits, cs.ctrl.row_hits,
-                            "{point:?} x {channels}ch"
+                            f.report.core_energy_pj.to_bits(),
+                            s.report.core_energy_pj.to_bits(),
+                            "{cell}"
                         );
-                        assert_eq!(cf.ctrl.row_misses, cs.ctrl.row_misses);
-                        assert_eq!(cf.ctrl.row_conflicts, cs.ctrl.row_conflicts);
-                        assert_eq!(cf.device.reads, cs.device.reads);
-                        assert_eq!(cf.device.writes, cs.device.writes);
-                        assert_eq!(cf.device.activates, cs.device.activates);
-                        assert_eq!(cf.device.refreshes, cs.device.refreshes);
-                        assert!((cf.total_energy_pj - cs.total_energy_pj).abs() < 1e-9);
+                        assert_eq!(
+                            f.power.core_mw.to_bits(),
+                            s.power.core_mw.to_bits(),
+                            "{cell}"
+                        );
+                        for (cf, cs) in f.report.channels.iter().zip(&s.report.channels) {
+                            assert_eq!(cf.ctrl.row_hits, cs.ctrl.row_hits, "{cell}");
+                            assert_eq!(cf.ctrl.row_misses, cs.ctrl.row_misses, "{cell}");
+                            assert_eq!(cf.ctrl.row_conflicts, cs.ctrl.row_conflicts, "{cell}");
+                            assert_eq!(cf.device.reads, cs.device.reads, "{cell}");
+                            assert_eq!(cf.device.writes, cs.device.writes, "{cell}");
+                            assert_eq!(cf.device.activates, cs.device.activates, "{cell}");
+                            assert_eq!(cf.device.refreshes, cs.device.refreshes, "{cell}");
+                            for (what, a, b) in [
+                                ("total", cf.total_energy_pj, cs.total_energy_pj),
+                                (
+                                    "background",
+                                    cf.background_energy_pj,
+                                    cs.background_energy_pj,
+                                ),
+                                ("event", cf.event_energy_pj, cs.event_energy_pj),
+                            ] {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{cell}: {what} energy");
+                            }
+                        }
                     }
+                    (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string(), "{cell}"),
+                    (f, s) => panic!("paths diverged at {cell}: {f:?} vs {s:?}"),
                 }
-                (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string()),
-                (f, s) => panic!("paths diverged at {point:?} x {channels}ch: {f:?} vs {s:?}"),
             }
         }
     }

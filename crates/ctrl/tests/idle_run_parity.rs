@@ -5,9 +5,8 @@
 //! whole power-down/refresh periods to `BankCluster::idle_refresh_run`.
 //! Attaching a recorder — here a `NullRecorder`, which keeps nothing —
 //! keeps a controller on the per-command loop. Two controllers fed the same
-//! requests must then agree on every command and its cycle, every counter
-//! and `busy_until`; their energies agree to rounding, because the
-//! recorder path closes a background interval on every command.
+//! requests must then agree on every command and its cycle, every counter,
+//! `busy_until` and every energy, bit for bit.
 
 use std::sync::Arc;
 
@@ -44,9 +43,10 @@ fn arb_clock() -> impl Strategy<Value = u64> {
     ]
 }
 
-fn assert_close(a: f64, b: f64, what: &str) -> Result<(), TestCaseError> {
-    prop_assert!(
-        (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+fn assert_same_bits(a: f64, b: f64, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        a.to_bits(),
+        b.to_bits(),
         "{}: batched {} vs per-command {}",
         what,
         a,
@@ -99,9 +99,9 @@ proptest! {
         prop_assert_eq!(b.device, p.device);
         prop_assert_eq!(b.ctrl, p.ctrl);
         prop_assert_eq!(b.busy_until, p.busy_until);
-        assert_close(b.total_energy_pj, p.total_energy_pj, "total energy")?;
-        assert_close(b.background_energy_pj, p.background_energy_pj, "background energy")?;
-        assert_close(b.event_energy_pj, p.event_energy_pj, "event energy")?;
+        assert_same_bits(b.total_energy_pj, p.total_energy_pj, "total energy")?;
+        assert_same_bits(b.background_energy_pj, p.background_energy_pj, "background energy")?;
+        assert_same_bits(b.event_energy_pj, p.event_energy_pj, "event energy")?;
 
         let validator = TraceValidator::new(*batched.device().timing(), *batched.device().geometry());
         let violations = validator.check(trace);

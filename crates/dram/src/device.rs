@@ -781,24 +781,8 @@ impl BankCluster {
         }
         // Command bus: one command per cycle.
         self.earliest_cmd = self.earliest_cmd.max(cycle + 1);
-        // Background-state bookkeeping. With observability off, commands
-        // that leave the state unchanged skip the cycle→time conversion and
-        // the interval close entirely: the background integral over a
-        // constant-state stretch is identical whether it is closed per
-        // command or once at the next transition.
-        let state = if self.self_refreshing {
-            BackgroundState::SelfRefresh
-        } else {
-            BackgroundState::from_flags(self.open_banks > 0, self.powered_down)
-        };
-        if self.obs.is_none() {
-            self.switch_background(state, cycle);
-            return Ok(outcome);
-        }
-        self.bg_state = state;
-        let now = self.time_of_cycle(cycle);
-        if let Some(obs) = self.obs.clone() {
-            let at_ps = now.as_ps();
+        if let Some(obs) = &self.obs {
+            let at_ps = self.time_of_cycle(cycle).as_ps();
             let (kind, bank) = obs_kind_of(cmd);
             obs.command(bank, kind, at_ps);
             let model = self.energy.model();
@@ -812,11 +796,13 @@ impl BankCluster {
             if event_pj != 0.0 {
                 obs.energy(kind, event_pj, at_ps);
             }
-            let (from_ps, to_ps, bg_pj) = self.energy.switch_state_traced(state, now);
-            if to_ps > from_ps {
-                obs.background(from_ps, to_ps, bg_pj);
-            }
         }
+        let state = if self.self_refreshing {
+            BackgroundState::SelfRefresh
+        } else {
+            BackgroundState::from_flags(self.open_banks > 0, self.powered_down)
+        };
+        self.switch_background(state, cycle);
         Ok(outcome)
     }
 
@@ -831,13 +817,21 @@ impl BankCluster {
     }
 
     /// Closes the background-energy interval at `cycle` and enters `state`,
-    /// if the state changes; the observability-free path.
+    /// if the state changes, reporting the closed interval when
+    /// observability is attached. Intervals close only at state changes,
+    /// observed or not, so attaching a recorder never changes the energy
+    /// account's additions.
     #[inline]
     fn switch_background(&mut self, state: BackgroundState, cycle: u64) {
         if state != self.bg_state {
             self.bg_state = state;
             let now = self.time_of_cycle(cycle);
-            self.energy.switch_state(state, now);
+            let (from_ps, to_ps, bg_pj) = self.energy.switch_state(state, now);
+            if let Some(obs) = &self.obs {
+                if to_ps > from_ps {
+                    obs.background(from_ps, to_ps, bg_pj);
+                }
+            }
         }
     }
 

@@ -311,16 +311,11 @@ impl EnergyAccount {
         self.state_since_ps = now_ps;
     }
 
-    /// Records a background-state transition at `now`.
-    pub fn switch_state(&mut self, state: BackgroundState, now: SimTime) {
-        self.close_interval(now);
-        self.state = state;
-    }
-
-    /// Like [`EnergyAccount::switch_state`], but returns the background
-    /// interval it closed as `(from_ps, to_ps, delta_pj)` so callers can
-    /// attribute the energy elsewhere (e.g. an observability timeline).
-    pub fn switch_state_traced(&mut self, state: BackgroundState, now: SimTime) -> (u64, u64, f64) {
+    /// Records a background-state transition at `now` and returns the
+    /// background interval it closed as `(from_ps, to_ps, delta_pj)`, so
+    /// callers can attribute the energy elsewhere (e.g. an observability
+    /// timeline).
+    pub fn switch_state(&mut self, state: BackgroundState, now: SimTime) -> (u64, u64, f64) {
         let closed = self.close_traced(now);
         self.state = state;
         closed

@@ -210,6 +210,33 @@ impl HdOperatingPoint {
     pub fn frame_budget(self) -> mcm_sim::SimTime {
         mcm_sim::SimTime::from_ps(1_000_000_000_000u64 / self.fps() as u64)
     }
+
+    /// Parses an operating-point name: `720p30`, `720p60`, `1080p30`,
+    /// `1080p60` or `2160p30`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mcm_load::HdOperatingPoint;
+    ///
+    /// assert_eq!(HdOperatingPoint::parse("1080p60").unwrap(), HdOperatingPoint::Hd1080p60);
+    /// let e = HdOperatingPoint::parse("480p").unwrap_err();
+    /// assert!(e.to_string().contains("`480p`"));
+    /// ```
+    pub fn parse(s: &str) -> Result<HdOperatingPoint, LoadError> {
+        match s {
+            "720p30" => Ok(HdOperatingPoint::Hd720p30),
+            "720p60" => Ok(HdOperatingPoint::Hd720p60),
+            "1080p30" => Ok(HdOperatingPoint::Hd1080p30),
+            "1080p60" => Ok(HdOperatingPoint::Hd1080p60),
+            "2160p30" => Ok(HdOperatingPoint::Uhd2160p30),
+            _ => Err(LoadError::BadParam {
+                reason: format!(
+                    "unknown format `{s}` (expected 720p30, 720p60, 1080p30, 1080p60 or 2160p30)"
+                ),
+            }),
+        }
+    }
 }
 
 impl fmt::Display for HdOperatingPoint {

@@ -53,7 +53,7 @@ pub use histogram::{HistogramSummary, LogHistogram, BUCKETS};
 pub use recorder::{ChannelObs, CommandKind, FaultKind, NullRecorder, Recorder, RowOutcome};
 pub use stats::{
     BankObsReport, ChannelObsReport, EnergyBreakdown, FaultCount, GaugeSample, KernelObsReport,
-    ObsConfig, ObsReport, ObsSummary, StatsRecorder, TenantObsReport,
+    ObsConfig, ObsReport, StatsRecorder, TenantObsReport,
 };
 pub use timeline::{Timeline, TimelineBucket, MAX_BUCKETS};
 pub use trace::{chrome_trace, SpanEvent, MASTER_TID};

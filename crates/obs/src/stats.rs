@@ -432,25 +432,6 @@ fn ps_opt_to_ns(ps: Option<u64>) -> f64 {
 }
 
 impl ObsReport {
-    /// Compact one-screen distillation for sweep outputs.
-    pub fn summary(&self) -> ObsSummary {
-        let mut s = ObsSummary::default();
-        for ch in &self.channels {
-            s.requests += ch.counters.requests;
-            s.activates += ch.counters.commands.activates;
-            s.refreshes += ch.counters.commands.refreshes;
-            s.bytes_read += ch.counters.bytes_read;
-            s.bytes_written += ch.counters.bytes_written;
-            s.row_hits += ch.counters.rows.hits;
-            s.row_total += ch.counters.rows.total();
-            if let Some(p99) = ch.latency_ps.p99 {
-                s.latency_p99_ns = Some(s.latency_p99_ns.unwrap_or(0.0).max(p99 as f64 / 1e3));
-            }
-        }
-        s.dropped_spans = self.dropped_spans;
-        s
-    }
-
     /// Pretty JSON of the whole report.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("ObsReport is always serializable")
@@ -624,36 +605,6 @@ impl ObsReport {
     }
 }
 
-/// One-line distillation of an [`ObsReport`] for sweep summaries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ObsSummary {
-    /// Requests retired across all channels.
-    pub requests: u64,
-    /// Row activations across all channels.
-    pub activates: u64,
-    /// Refreshes across all channels.
-    pub refreshes: u64,
-    /// Bytes read across all channels.
-    pub bytes_read: u64,
-    /// Bytes written across all channels.
-    pub bytes_written: u64,
-    /// Row-buffer hits across all channels.
-    pub row_hits: u64,
-    /// Row-buffer decisions across all channels.
-    pub row_total: u64,
-    /// Worst per-channel p99 request latency, ns.
-    pub latency_p99_ns: Option<f64>,
-    /// Spans lost to the span cap (0 means the trace is complete).
-    pub dropped_spans: u64,
-}
-
-impl ObsSummary {
-    /// Row-buffer hit rate over every channel, when any access was decided.
-    pub fn row_hit_rate(&self) -> Option<f64> {
-        (self.row_total > 0).then(|| self.row_hits as f64 / self.row_total as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,19 +710,6 @@ mod tests {
         assert_eq!(report.spans.len(), 2);
         assert_eq!(report.dropped_spans, 3);
         assert!(report.render_text().contains("3 dropped"));
-    }
-
-    #[test]
-    fn report_summary_aggregates_channels() {
-        let s = tiny_trace().report().summary();
-        assert_eq!(s.requests, 5);
-        assert_eq!(s.activates, 2);
-        assert_eq!(s.bytes_read, 96);
-        assert_eq!(s.bytes_written, 32);
-        assert_eq!(s.row_hits, 2);
-        assert_eq!(s.row_total, 4);
-        assert_eq!(s.row_hit_rate(), Some(0.5));
-        assert_eq!(s.latency_p99_ns, Some(8.0));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   answered from the store without re-simulating —
 //!   [`SweepOptions::cache_dir`] is ignored here and documented as such.
 //! * **Provenance crosses the wire intact.** `cached` / `prelinted` /
-//!   `resumed` flags, content keys, records, error strings and obs
-//!   summaries are parsed back out of the job document, so
-//!   [`run_sweep_on`] folds remote outcomes exactly like local ones.
+//!   `resumed` flags, content keys, records and error strings are parsed
+//!   back out of the job document, so [`run_sweep_on`] folds remote
+//!   outcomes exactly like local ones.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -274,7 +274,6 @@ impl Executor for ServeExecutor {
                         key: Some(key),
                         resumed: true,
                         elapsed: Duration::ZERO,
-                        obs: None,
                     },
                 )),
                 None => remote.push((i, item)),
@@ -419,7 +418,6 @@ impl Executor for ServeExecutor {
                                     key: None,
                                     resumed: false,
                                     elapsed: Duration::ZERO,
-                                    obs: None,
                                 });
                             }
                         }
@@ -462,7 +460,6 @@ fn batch_body(items: &[WorkItem], options: &SweepOptions) -> serde::Value {
     let mut body = serde::Map::new();
     body.insert("items".to_string(), serde::Value::Array(wire_items));
     body.insert("run".to_string(), options.run.to_value());
-    body.insert("observe".to_string(), options.observe.to_value());
     body.insert("prelint".to_string(), options.prelint.to_value());
     if let Some(threads) = options.threads {
         body.insert("threads".to_string(), (threads as u64).to_value());
@@ -499,10 +496,6 @@ fn parse_outcome(doc: &serde::Value) -> WorkOutcome {
             message: format!("unparseable record: {e:?}"),
         }),
     };
-    let obs = match doc.get("obs") {
-        Some(serde::Value::Null) | None => None,
-        Some(v) => mcm_obs::ObsSummary::from_value(v).ok(),
-    };
     let elapsed = doc
         .get("elapsed_ms")
         .and_then(|v| v.as_f64())
@@ -516,7 +509,6 @@ fn parse_outcome(doc: &serde::Value) -> WorkOutcome {
         resumed: flag("resumed"),
         key,
         elapsed,
-        obs,
     }
 }
 

@@ -116,17 +116,18 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Writes one JSON response and flushes. Errors are swallowed: the peer
-/// hanging up mid-response is its problem, not the server's.
+/// hanging up mid-response is its problem, not the server's. Head and body
+/// go out in one write: a second small write would wait for the peer to
+/// acknowledge the first (Nagle's algorithm), a round trip on every reply.
 pub fn respond(stream: &mut TcpStream, status: u16, body: &serde::Value) {
     let mut json = serde_json::to_string_pretty(body).expect("a value tree always serializes");
     json.push('\n');
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{json}",
         reason(status),
         json.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(json.as_bytes());
+    let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
 

@@ -1,17 +1,19 @@
 //! The server's job table: public job ids over [`Executor`] handles.
 //!
-//! A job is either *live* (backed by an executor job, finalized lazily the
-//! first time a status request sees it finish) or *instant* (a `POST
+//! A job is either *live* (backed by an executor job and finalized on its
+//! own thread as soon as the executor finishes it) or *instant* (a `POST
 //! /runs` answered straight from the store — no executor involvement at
 //! all, which is the dedup guarantee the integration tests pin). Finished
 //! jobs are persisted through the [`ResultStore`] so their documents
-//! survive a server restart.
+//! survive a server restart; status requests only read memory.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mcm_sweep::{Executor, RayonExecutor, SweepError, SweepOptions, WorkItem, WorkOutcome};
+use mcm_sweep::{
+    Executor, JobState, RayonExecutor, SweepError, SweepOptions, WorkItem, WorkOutcome,
+};
 
 use crate::store::ResultStore;
 
@@ -38,7 +40,7 @@ impl JobKind {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Job {
     kind: JobKind,
     label: String,
@@ -49,12 +51,12 @@ struct Job {
     result: Option<serde::Value>,
 }
 
-/// Public job ids mapped to executor jobs, plus lazy finalization.
+/// Public job ids mapped to executor jobs, each finalized when it finishes.
 #[derive(Debug)]
 pub struct JobTable {
     executor: RayonExecutor,
     store: Arc<ResultStore>,
-    jobs: Mutex<BTreeMap<u64, Job>>,
+    jobs: Arc<Mutex<BTreeMap<u64, Job>>>,
     next_id: AtomicU64,
 }
 
@@ -66,7 +68,7 @@ impl JobTable {
             next_id: AtomicU64::new(store.last_job_id() + 1),
             executor,
             store,
-            jobs: Mutex::new(BTreeMap::new()),
+            jobs: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
 
@@ -105,8 +107,7 @@ impl JobTable {
             "resumed": false,
             "key": format!("{key:016x}"),
             "record": record,
-            "error": serde::Value::Null,
-            "obs": serde::Value::Null
+            "error": serde::Value::Null
         });
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let doc = serde_json::json!({
@@ -132,7 +133,8 @@ impl JobTable {
         id
     }
 
-    /// Submits a live job to the executor and registers it.
+    /// Submits a live job to the executor, registers it, and starts the
+    /// thread that finalizes it once the executor finishes it.
     pub fn submit(
         &self,
         kind: JobKind,
@@ -142,22 +144,41 @@ impl JobTable {
     ) -> Result<u64, SweepError> {
         let total = items.len();
         let exec_job = self.executor.submit(items, options)?;
-        Ok(self.allocate(Job {
+        let job = Job {
             kind,
             label: label.to_string(),
             exec_job: Some(exec_job),
             total,
             result: None,
-        }))
+        };
+        let id = self.allocate(job.clone());
+        let executor = self.executor.clone();
+        let store = Arc::clone(&self.store);
+        let jobs = Arc::clone(&self.jobs);
+        std::thread::spawn(move || {
+            // Blocks until the executor finishes the job; the store writes
+            // happen here, outside the table lock.
+            let (outcomes, exec_state) = match executor.collect(exec_job) {
+                Ok(outcomes) => {
+                    let state = executor.poll(exec_job).map_or("done", |s| s.state.as_str());
+                    (outcomes, state)
+                }
+                Err(_) => (Vec::new(), "failed"),
+            };
+            let doc = finalize(&store, id, &job, exec_state, &outcomes);
+            if let Some(job) = jobs.lock().expect("job table lock poisoned").get_mut(&id) {
+                job.result = Some(doc);
+            }
+        });
+        Ok(id)
     }
 
-    /// The status document for one job: live jobs report progress, jobs
-    /// the executor has finished are finalized (outcomes collected, store
-    /// indexed, document persisted) on first sight, and ids predating this
-    /// process fall back to the store's persisted documents.
+    /// The status document for one job: live jobs report progress until
+    /// their final document is persisted, finished jobs return it, and ids
+    /// predating this process fall back to the store's persisted documents.
     pub fn status(&self, id: u64) -> Option<serde::Value> {
-        let mut jobs = self.jobs.lock().expect("job table lock poisoned");
-        let Some(job) = jobs.get_mut(&id) else {
+        let jobs = self.jobs.lock().expect("job table lock poisoned");
+        let Some(job) = jobs.get(&id) else {
             drop(jobs);
             return self.store.get_job(id);
         };
@@ -166,67 +187,21 @@ impl JobTable {
         }
         let exec_job = job.exec_job.expect("live jobs have an executor handle");
         let snapshot = self.executor.poll(exec_job)?;
-        if !snapshot.state.is_terminal() {
-            return Some(serde_json::json!({
-                "job": id,
-                "kind": job.kind.as_str(),
-                "label": job.label,
-                "status": snapshot.state.as_str(),
-                "done": snapshot.done,
-                "total": snapshot.total
-            }));
-        }
-        // Terminal: collect never blocks now. Finalize under the table
-        // lock so concurrent status requests build the document once.
-        let outcomes = self.executor.collect(exec_job).ok()?;
-        let doc = self.finalize(id, job, snapshot.state.as_str(), &outcomes);
-        job.result = Some(doc.clone());
-        Some(doc)
-    }
-
-    /// Builds and persists the final document of a collected job.
-    fn finalize(
-        &self,
-        id: u64,
-        job: &Job,
-        exec_state: &str,
-        outcomes: &[WorkOutcome],
-    ) -> serde::Value {
-        for o in outcomes {
-            if let (Some(key), Ok(_)) = (o.key, &o.outcome) {
-                if !o.cached {
-                    self.store.index(key, &o.label, job.kind.as_str());
-                }
-            }
-        }
-        let points: Vec<serde::Value> = outcomes.iter().map(outcome_json).collect();
-        let status = match job.kind {
-            // A run is as good as its one outcome.
-            JobKind::Run => match outcomes.first() {
-                Some(o) if o.outcome.is_ok() => "done",
-                Some(o) if matches!(o.outcome, Err(SweepError::Cancelled { .. })) => "cancelled",
-                _ => "failed",
-            },
-            JobKind::Sweep | JobKind::Batch => exec_state,
+        // A job the executor has finished reads as running until its
+        // finalizer has persisted the final document.
+        let status = if snapshot.state == JobState::Queued {
+            "queued"
+        } else {
+            "running"
         };
-        let result = match job.kind {
-            JobKind::Run => points.into_iter().next().unwrap_or(serde::Value::Null),
-            JobKind::Sweep | JobKind::Batch => serde_json::json!({
-                "points": points,
-                "stats": fold_stats(outcomes)
-            }),
-        };
-        let doc = serde_json::json!({
+        Some(serde_json::json!({
             "job": id,
             "kind": job.kind.as_str(),
             "label": job.label,
             "status": status,
-            "done": outcomes.len(),
-            "total": job.total,
-            "result": result
-        });
-        self.store.put_job(id, &doc);
-        doc
+            "done": snapshot.done,
+            "total": snapshot.total
+        }))
     }
 
     /// Requests cancellation. `None` for unknown ids; `Some(false)` when
@@ -259,6 +234,51 @@ impl JobTable {
     }
 }
 
+/// Builds and persists the final document of a collected job.
+fn finalize(
+    store: &ResultStore,
+    id: u64,
+    job: &Job,
+    exec_state: &str,
+    outcomes: &[WorkOutcome],
+) -> serde::Value {
+    for o in outcomes {
+        if let (Some(key), Ok(_)) = (o.key, &o.outcome) {
+            if !o.cached {
+                store.index(key, &o.label, job.kind.as_str());
+            }
+        }
+    }
+    let points: Vec<serde::Value> = outcomes.iter().map(outcome_json).collect();
+    let status = match job.kind {
+        // A run is as good as its one outcome.
+        JobKind::Run => match outcomes.first() {
+            Some(o) if o.outcome.is_ok() => "done",
+            Some(o) if matches!(o.outcome, Err(SweepError::Cancelled { .. })) => "cancelled",
+            _ => "failed",
+        },
+        JobKind::Sweep | JobKind::Batch => exec_state,
+    };
+    let result = match job.kind {
+        JobKind::Run => points.into_iter().next().unwrap_or(serde::Value::Null),
+        JobKind::Sweep | JobKind::Batch => serde_json::json!({
+            "points": points,
+            "stats": fold_stats(outcomes)
+        }),
+    };
+    let doc = serde_json::json!({
+        "job": id,
+        "kind": job.kind.as_str(),
+        "label": job.label,
+        "status": status,
+        "done": outcomes.len(),
+        "total": job.total,
+        "result": result
+    });
+    store.put_job(id, &doc);
+    doc
+}
+
 /// One outcome as its wire document.
 fn outcome_json(o: &WorkOutcome) -> serde::Value {
     serde_json::json!({
@@ -269,7 +289,6 @@ fn outcome_json(o: &WorkOutcome) -> serde::Value {
         "key": o.key.map(|k| format!("{k:016x}")),
         "record": o.outcome.as_ref().ok(),
         "error": o.outcome.as_ref().err().map(|e| e.to_string()),
-        "obs": o.obs,
         "elapsed_ms": o.elapsed.as_secs_f64() * 1e3
     })
 }

@@ -11,8 +11,8 @@
 //!   `POST /shutdown`.
 //! * [`JobTable`] maps public job ids onto [`RayonExecutor`] jobs
 //!   (bounded concurrency, incremental progress, cooperative
-//!   cancellation) and finalizes finished jobs lazily into persisted
-//!   result documents.
+//!   cancellation) and finalizes each job into a persisted result
+//!   document as soon as the executor finishes it.
 //! * [`ResultStore`] extends the sweep cache's
 //!   [`content_key`](mcm_sweep::content_key) discipline into queryable
 //!   history: records live in the same keyed format and the same

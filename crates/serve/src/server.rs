@@ -242,7 +242,7 @@ impl Server {
 
         let mut item = WorkItem::new(label.clone(), experiment);
         item.faults = faults;
-        let options = self.sweep_options(run, /* observe */ true, /* prelint */ false);
+        let options = self.sweep_options(run, /* prelint */ false);
         match self.table.submit(JobKind::Run, &label, vec![item], options) {
             Ok(id) => (
                 202,
@@ -271,11 +271,7 @@ impl Server {
             };
             let points = spec.expand().map_err(|e| e.to_string())?;
             let run = RunOptions::default().with_verify(bool_field(&body, "verify")?);
-            let mut options = self.sweep_options(
-                run,
-                bool_field(&body, "observe")?,
-                bool_field(&body, "prelint")?,
-            );
+            let mut options = self.sweep_options(run, bool_field(&body, "prelint")?);
             if let Some(n) = u64_field(&body, "threads")? {
                 options.threads = Some(n as usize);
             }
@@ -346,9 +342,6 @@ impl Server {
             .unwrap_or_else(|| format!("batch/{total} items"));
         let mut options = self.sweep_options(
             run,
-            body.get("observe")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
             body.get("prelint")
                 .and_then(|v| v.as_bool())
                 .unwrap_or(false),
@@ -388,13 +381,12 @@ impl Server {
 
     /// Every job shares the store directory as its cache directory — that
     /// is what makes executor write-backs service history.
-    fn sweep_options(&self, run: RunOptions, observe: bool, prelint: bool) -> SweepOptions {
+    fn sweep_options(&self, run: RunOptions, prelint: bool) -> SweepOptions {
         SweepOptions {
             threads: self.threads,
             cache_dir: Some(self.store.dir().to_path_buf()),
             run,
             progress: false,
-            observe,
             prelint,
             // Checkpoint logs are a client-side concern: a `ServeExecutor`
             // consults and appends its own log around remote batches.
@@ -448,7 +440,7 @@ const RUN_KEYS: &[&str] = &[
 const SHORTHAND_KEYS: &[&str] = &["format", "channels", "clock_mhz", "workload"];
 
 /// Top-level keys of a `POST /sweeps` body that wraps its grid in `"spec"`.
-const SWEEP_KEYS: &[&str] = &["spec", "verify", "observe", "prelint", "threads"];
+const SWEEP_KEYS: &[&str] = &["spec", "verify", "prelint", "threads"];
 
 /// Refuses a body that is not a JSON object, or that carries a key outside
 /// `known`: a typo must be a `400`, not a silently defaulted run. An empty
@@ -531,7 +523,7 @@ fn parse_experiment(body: &serde::Value) -> Result<Experiment, String> {
     }
     let point = match str_field(body, "format")? {
         None => HdOperatingPoint::Hd1080p30,
-        Some(s) => parse_point(s)?,
+        Some(s) => HdOperatingPoint::parse(s).map_err(|e| e.to_string())?,
     };
     let channels = match u64_field(body, "channels")? {
         None => 4,
@@ -549,19 +541,6 @@ fn parse_experiment(body: &serde::Value) -> Result<Experiment, String> {
         .workload(workload)
         .build()
         .map_err(|e| format!("bad run coordinates: {e}"))
-}
-
-fn parse_point(s: &str) -> Result<HdOperatingPoint, String> {
-    match s {
-        "720p30" => Ok(HdOperatingPoint::Hd720p30),
-        "720p60" => Ok(HdOperatingPoint::Hd720p60),
-        "1080p30" => Ok(HdOperatingPoint::Hd1080p30),
-        "1080p60" => Ok(HdOperatingPoint::Hd1080p60),
-        "2160p30" => Ok(HdOperatingPoint::Uhd2160p30),
-        other => Err(format!(
-            "unknown format `{other}` (expected 720p30, 720p60, 1080p30, 1080p60 or 2160p30)"
-        )),
-    }
 }
 
 /// Lenient `"run"` options: every field optional, defaults apply.

@@ -10,7 +10,8 @@
 //!   first entered the store), making the keyed history enumerable without
 //!   re-deriving experiments;
 //! * `jobs/<id>.json` — the full result document of every finished job
-//!   (per-point records, provenance, `ObsSummary`), surviving restarts.
+//!   (per-point records and provenance), written when the job finishes
+//!   and surviving restarts.
 //!
 //! Corrupt index lines and job files degrade to absence, mirroring the
 //! cache's corrupt-entry-is-a-miss discipline.

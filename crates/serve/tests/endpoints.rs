@@ -9,7 +9,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mcm_core::{Experiment, RunOptions};
+use mcm_load::HdOperatingPoint;
 use mcm_serve::{ServeConfig, Server};
+use mcm_sweep::PointRecord;
 
 /// One parsed HTTP response: status code and JSON body.
 struct Reply {
@@ -194,6 +197,11 @@ fn health_routing_and_refusals() {
             r#"{"channels": [4], "execution": {}}"#,
             "execution",
         ),
+        (
+            "/sweeps",
+            r#"{"spec": {"channels": [4]}, "observe": true}"#,
+            "observe",
+        ),
     ] {
         let reply = h.call("POST", path, Some(body));
         assert_eq!(reply.status, 400, "{path} {body}: {:?}", reply.body);
@@ -330,6 +338,51 @@ fn duplicate_run_is_answered_from_the_store() {
         assert!(j.get("result").is_none(), "listing elides results: {j:?}");
     }
 
+    h.shutdown();
+}
+
+/// A served answer is the in-process answer: the record of a finished
+/// `POST /runs` job is, byte for byte, the serialized [`PointRecord`] of
+/// the same experiment run in process with default options, and the job
+/// document carries nothing but the record and its provenance.
+#[test]
+fn served_runs_equal_in_process_runs() {
+    let h = Harness::start("bits", 1);
+    let reply = h.call(
+        "POST",
+        "/runs",
+        Some(r#"{"format": "720p30", "channels": 2, "clock_mhz": 533, "op_limit": 3475}"#),
+    );
+    assert_eq!(reply.status, 202, "{:?}", reply.body);
+    let job = reply.body.get("job").and_then(|v| v.as_u64()).unwrap();
+    let done = h.wait_terminal(job);
+    assert_eq!(done.get("status").and_then(|v| v.as_str()), Some("done"));
+    let result = done.get("result").expect("finished run carries a result");
+    let serde::Value::Object(fields) = result else {
+        panic!("result is an object: {result:?}");
+    };
+    assert_eq!(
+        fields.keys().map(String::as_str).collect::<Vec<_>>(),
+        [
+            "label",
+            "cached",
+            "prelinted",
+            "resumed",
+            "key",
+            "record",
+            "error",
+            "elapsed_ms"
+        ]
+    );
+    let served = serde_json::to_string(result.get("record").unwrap()).unwrap();
+
+    let mut exp = Experiment::paper(HdOperatingPoint::Hd720p30, 2, 533);
+    exp.op_limit = Some(3_475);
+    let frame = exp
+        .run_with(&RunOptions::default())
+        .and_then(|o| o.try_into_frame());
+    let record = PointRecord::from_result(frame).unwrap();
+    assert_eq!(served, serde_json::to_string(&record).unwrap());
     h.shutdown();
 }
 

@@ -240,12 +240,13 @@ impl CheckpointLog {
         };
         let mut text = self.inner.header.to_json();
         text.push('\n');
-        {
-            let entries = self.inner.entries.lock().expect("checkpoint lock poisoned");
-            for entry in entries.values() {
-                text.push_str(&serde_json::to_string(entry).map_err(|e| refuse(format!("{e:?}")))?);
-                text.push('\n');
-            }
+        // Held through the rename: points finishing on different workers
+        // share one temp file, and an unserialized writer could rename a
+        // document that lacks another's entry over the log.
+        let entries = self.inner.entries.lock().expect("checkpoint lock poisoned");
+        for entry in entries.values() {
+            text.push_str(&serde_json::to_string(entry).map_err(|e| refuse(format!("{e:?}")))?);
+            text.push('\n');
         }
         let tmp = self.inner.path.with_extension("tmp");
         fs::write(&tmp, text).map_err(|e| refuse(format!("writing temp file: {e}")))?;

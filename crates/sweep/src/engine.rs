@@ -6,10 +6,9 @@
 //! outcomes **in expansion order**
 //! regardless of thread count. A panicking or erroring point becomes a
 //! typed per-point error, not a dead sweep. The JSON/CSV exports
-//! deliberately exclude wall-clock data so a parallel run's output is
-//! byte-identical to a serial run's; the provenance export
-//! ([`SweepResult::to_json_with_provenance`]) is the one that explains
-//! *how* each answer was produced.
+//! deliberately exclude wall-clock data and provenance so a parallel
+//! run's output is byte-identical to a serial run's; [`PointOutcome`]
+//! carries *how* each answer was produced.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -41,12 +40,6 @@ pub struct SweepOptions {
     pub run: RunOptions,
     /// Print one progress line per completed point to stderr.
     pub progress: bool,
-    /// Attach a fresh [`mcm_obs::StatsRecorder`] to every freshly simulated
-    /// point and distill it into [`PointOutcome::obs`]. Cached points carry
-    /// `None` (no simulation ran), as do all points when
-    /// [`SweepOptions::run`] already brings its own recorder — a shared
-    /// recorder cannot be split back into per-point summaries.
-    pub observe: bool,
     /// Run the `mcm-analyze` static rules (`MCM4xx`) over every healthy
     /// point *before* the thread pool and answer statically-infeasible
     /// points instantly with a synthesized infeasible record carrying the
@@ -86,13 +79,6 @@ impl SweepOptions {
     /// Enables per-point progress lines on stderr (builder style).
     pub fn with_progress(mut self, progress: bool) -> Self {
         self.progress = progress;
-        self
-    }
-
-    /// Enables per-point observability summaries (builder style); see
-    /// [`SweepOptions::observe`] for when summaries are actually attached.
-    pub fn with_observe(mut self, observe: bool) -> Self {
-        self.observe = observe;
         self
     }
 
@@ -142,11 +128,6 @@ pub struct PointOutcome {
     pub resumed: bool,
     /// Wall-clock time spent on this point (lookup or simulation).
     pub elapsed: Duration,
-    /// Observability distillation of this point's simulation, when
-    /// [`SweepOptions::observe`] was set and the point actually simulated.
-    /// Like [`PointOutcome::elapsed`], this is run provenance, not result
-    /// data: the deterministic exports exclude it.
-    pub obs: Option<mcm_obs::ObsSummary>,
 }
 
 /// Aggregate counters and timing for one sweep run.
@@ -171,29 +152,6 @@ pub struct SweepStats {
     pub wall: Duration,
     /// The single slowest point's time and label.
     pub slowest: Option<(Duration, String)>,
-}
-
-impl Serialize for SweepStats {
-    // Hand-written: `Duration` fields serialize as milliseconds, and the
-    // `slowest` pair becomes a named object instead of a tuple.
-    fn to_value(&self) -> serde::Value {
-        serde_json::json!({
-            "total": self.total,
-            "simulated": self.simulated,
-            "cached": self.cached,
-            "resumed": self.resumed,
-            "prelinted": self.prelinted,
-            "infeasible": self.infeasible,
-            "failed": self.failed,
-            "wall_ms": self.wall.as_secs_f64() * 1e3,
-            "slowest": self.slowest.as_ref().map(|(t, label)| {
-                serde_json::json!({
-                    "ms": t.as_secs_f64() * 1e3,
-                    "label": label
-                })
-            })
-        })
-    }
 }
 
 impl core::fmt::Display for SweepStats {
@@ -313,42 +271,6 @@ impl SweepResult {
         rows_to_json(&self.export_rows())
     }
 
-    /// The provenance export: everything [`SweepResult::to_json`] carries
-    /// *plus*, per point, how the answer was produced — `cached` /
-    /// `prelinted` flags, the shared content key (the cache/store entry
-    /// name), wall-clock `elapsed_ms`, and the observability summary when
-    /// one was recorded — and the aggregate [`SweepStats`]. This is the
-    /// export server job results are built from; unlike `to_json()` it is
-    /// **not** stable across cache temperatures or thread counts.
-    pub fn to_json_with_provenance(&self) -> String {
-        let points: Vec<serde::Value> = self
-            .points
-            .iter()
-            .zip(self.export_rows())
-            .map(|(p, row)| {
-                serde_json::json!({
-                    "label": row.label,
-                    "format": row.format,
-                    "channels": row.channels,
-                    "clock_mhz": row.clock_mhz,
-                    "error": row.error,
-                    "record": row.record,
-                    "cached": p.cached,
-                    "resumed": p.resumed,
-                    "prelinted": p.prelinted,
-                    "key": p.key.map(|k| format!("{k:016x}")),
-                    "elapsed_ms": p.elapsed.as_secs_f64() * 1e3,
-                    "obs": p.obs
-                })
-            })
-            .collect();
-        let value = serde_json::json!({
-            "points": points,
-            "stats": self.stats
-        });
-        serde_json::to_string_pretty(&value).expect("provenance rows are serializable")
-    }
-
     /// Deterministic CSV export with one row per point.
     pub fn to_csv(&self) -> String {
         rows_to_csv(&self.export_rows())
@@ -457,7 +379,6 @@ pub(crate) fn run_points_on(
             key: o.key,
             resumed: o.resumed,
             elapsed: o.elapsed,
-            obs: o.obs,
         })
         .collect();
     let stats = collect_stats(&points, started.elapsed());
@@ -582,65 +503,6 @@ mod tests {
                 p.as_ref().unwrap().access_time
             );
         }
-    }
-
-    #[test]
-    fn observe_attaches_per_point_summaries() {
-        let dir = std::env::temp_dir().join(format!("mcm-sweep-obs-{}", std::process::id()));
-        let options = SweepOptions::default()
-            .with_cache_dir(dir.clone())
-            .with_observe(true);
-        let fresh = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &options).unwrap();
-        for p in &fresh.points {
-            let s = p.obs.as_ref().expect("simulated point carries obs");
-            assert!(s.requests > 0, "{}", p.label);
-            assert!(s.bytes_read + s.bytes_written > 0);
-        }
-        // Cached re-run: no simulation, no summaries — and the
-        // deterministic exports never mention obs either way.
-        let warm = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &options).unwrap();
-        assert_eq!(warm.stats.cached, 3);
-        assert!(warm.points.iter().all(|p| p.obs.is_none()));
-        assert_eq!(fresh.to_json(), warm.to_json());
-        assert!(!fresh.to_json().contains("\"requests\""));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn provenance_export_explains_each_point() {
-        let dir = std::env::temp_dir().join(format!("mcm-sweep-prov-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = SweepOptions::default().with_cache_dir(dir.clone());
-        let fresh = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &options).unwrap();
-        let warm = run_sweep_on(&RayonExecutor::default(), &quick_spec(), &options).unwrap();
-        // The deterministic export hides provenance; this one carries it.
-        assert_eq!(fresh.to_json(), warm.to_json());
-        let cold: serde::Value = serde_json::from_str(&fresh.to_json_with_provenance()).unwrap();
-        let hot: serde::Value = serde_json::from_str(&warm.to_json_with_provenance()).unwrap();
-        let cached = |v: &serde::Value, i: usize| {
-            v.get("points").unwrap().as_array().unwrap()[i]
-                .get("cached")
-                .unwrap()
-                .as_bool()
-                .unwrap()
-        };
-        for i in 0..3 {
-            assert!(!cached(&cold, i), "fresh run must not report cache hits");
-            assert!(cached(&hot, i), "warm run must report cache hits");
-        }
-        // The shared content key is the cache entry's file name.
-        let key = hot.get("points").unwrap().as_array().unwrap()[0]
-            .get("key")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        assert!(dir.join(format!("{key}.json")).exists());
-        // Aggregate stats ride along.
-        let stats = hot.get("stats").unwrap();
-        assert_eq!(stats.get("cached").unwrap().as_u64(), Some(3));
-        assert_eq!(stats.get("simulated").unwrap().as_u64(), Some(0));
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

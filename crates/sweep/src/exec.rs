@@ -96,8 +96,7 @@ impl WorkItem {
 
 /// The result of one [`WorkItem`], with full provenance: how the answer
 /// was produced (simulated / cache hit / static prelint), under which
-/// content key, how long it took, and the observability distillation when
-/// one was recorded.
+/// content key and how long it took.
 #[derive(Debug, Clone)]
 pub struct WorkOutcome {
     /// The item's label.
@@ -118,9 +117,6 @@ pub struct WorkOutcome {
     pub resumed: bool,
     /// Wall-clock time spent on this item (lookup or simulation).
     pub elapsed: Duration,
-    /// Observability distillation, when observation was requested and the
-    /// item actually simulated.
-    pub obs: Option<mcm_obs::ObsSummary>,
 }
 
 /// The scheduling API shared by `run_sweep_on`, the figure harness and
@@ -352,7 +348,6 @@ impl RayonExecutor {
                         key: None,
                         resumed: false,
                         elapsed: started.elapsed(),
-                        obs: None,
                     }
                 }
                 None => execute_item(item, &options, cache.as_ref(), &self.shared.simulated),
@@ -489,7 +484,6 @@ fn cancelled_outcome(label: String) -> WorkOutcome {
         key: None,
         resumed: false,
         elapsed: Duration::ZERO,
-        obs: None,
     }
 }
 
@@ -558,25 +552,16 @@ fn execute_item(
         };
     }
     let cached = !resumed && hit.is_some();
-    let mut obs = None;
     let outcome = match hit {
         Some(record) => Ok(record),
         None => {
             simulated.fetch_add(1, Ordering::Relaxed);
-            let point_recorder = (options.observe && options.run.recorder.is_none())
-                .then(|| Arc::new(mcm_obs::StatsRecorder::new()));
-            let run = match &point_recorder {
-                Some(rec) => point_run.clone().with_recorder(rec.clone()),
-                None => point_run.clone(),
-            };
-            let outcome = PointRecord::from_result(simulate_point(&item.experiment, &run)).map_err(
+            PointRecord::from_result(simulate_point(&item.experiment, &point_run)).map_err(
                 |source| SweepError::Point {
                     label: item.label.clone(),
                     source,
                 },
-            );
-            obs = point_recorder.map(|rec| rec.report().summary());
-            outcome
+            )
         }
     };
     if !cached && !resumed {
@@ -600,7 +585,6 @@ fn execute_item(
         key,
         resumed,
         elapsed: started.elapsed(),
-        obs,
     }
 }
 
@@ -657,6 +641,9 @@ mod tests {
         assert_eq!(exec.simulated(), 1, "duplicate work must not re-simulate");
         assert!(stored[0].cached && !fresh[0].cached);
         assert_eq!(stored[0].key, fresh[0].key);
+        // The shared content key is the cache entry's file name.
+        let key = fresh[0].key.expect("healthy items are keyed");
+        assert!(dir.join(format!("{key:016x}.json")).exists());
         assert_eq!(
             stored[0].outcome.as_ref().unwrap(),
             fresh[0].outcome.as_ref().unwrap()

@@ -80,7 +80,7 @@ pub mod prelude {
         LayoutOptions, LoadModel, PixelFormat, RefFrames, Stage, StochasticParams, UseCase,
         UseCaseMode, Workload,
     };
-    pub use mcm_obs::{NullRecorder, ObsConfig, ObsReport, ObsSummary, Recorder, StatsRecorder};
+    pub use mcm_obs::{NullRecorder, ObsConfig, ObsReport, Recorder, StatsRecorder};
     pub use mcm_power::{BondingTechnique, InterfacePowerModel, PowerSummary, XdrReference};
     pub use mcm_sim::{ClockDomain, Frequency, QueueKind, SimTime};
     pub use mcm_sweep::{
