@@ -121,7 +121,12 @@ impl InterleaveMap {
     }
 
     /// [`InterleaveMap::split_range`] into a caller-owned buffer, cleared
-    /// and resized to the channel count. O(channels) closed form — the cost
+    /// and resized to the channel count. O(channels) closed form with two
+    /// divisions per call: the range touches `n` granules from granule
+    /// `first`, so the channel at offset `k` from `first`'s channel gets
+    /// `n / m` granules, one more when `k < n % m`, starting at local
+    /// granule `first / m` (one further once the offset wraps past the last
+    /// channel). Only the first and last granules are trimmed. The cost
     /// does not depend on how many granules the range spans, and a reused
     /// buffer makes the subsystem's per-transaction fan-out allocation-free.
     pub fn split_range_into(&self, addr: u64, len: u64, out: &mut Vec<Option<(u64, u64)>>) {
@@ -130,32 +135,37 @@ impl InterleaveMap {
         if len == 0 {
             return;
         }
-        let m = self.channels as u64;
+        let m = u64::from(self.channels);
         let g = self.granule;
+        let shift = g.trailing_zeros();
         let end = addr + len;
-        let first = addr / g;
-        let last = (end - 1) / g;
+        let first = addr >> shift;
+        let last = (end - 1) >> shift;
         // Bytes the transaction does not cover in its first/last granule.
-        let head = addr - first * g;
-        let tail = (last + 1) * g - end;
-        for c in 0..m {
-            // First granule index >= `first` owned by channel `c`.
-            let fc = first + ((c + m - first % m) % m);
-            if fc > last {
-                continue;
-            }
-            // The channel's granules are fc, fc+m, ...: adjacent locally.
-            let count = (last - fc) / m + 1;
-            let mut local = (fc / m) * g;
-            let mut bytes = count * g;
-            if fc == first {
-                local += head;
+        let head = addr & (g - 1);
+        let tail = ((last + 1) << shift) - end;
+        let n = last - first + 1;
+        let (q, rem) = (n / m, n % m);
+        // The offset whose run ends on granule `last`: (n - 1) % m.
+        let last_k = if rem == 0 { m - 1 } else { rem - 1 };
+        let mut channel = first % m;
+        let mut local = (first / m) << shift;
+        for k in 0..n.min(m) {
+            let mut start = local;
+            let mut bytes = (q + u64::from(k < rem)) << shift;
+            if k == 0 {
+                start += head;
                 bytes -= head;
             }
-            if last % m == c {
+            if k == last_k {
                 bytes -= tail;
             }
-            out[c as usize] = Some((local, bytes));
+            out[channel as usize] = Some((start, bytes));
+            channel += 1;
+            if channel == m {
+                channel = 0;
+                local += g;
+            }
         }
     }
 }
@@ -252,17 +262,18 @@ mod tests {
 
     #[test]
     fn closed_form_matches_granule_walk() {
-        for m in [1u32, 2, 4, 8] {
-            let map = InterleaveMap::new(m, 16).unwrap();
-            for addr in [0u64, 3, 8, 15, 16, 17, 160, 4095] {
-                for len in [1u64, 7, 16, 17, 40, 64, 256, 1000] {
+        // Every channel count, degraded ones (3, 5, 6, 7) included.
+        for (m, g) in (1u32..=8).flat_map(|m| [(m, 16u64), (m, 64)]) {
+            let map = InterleaveMap::new(m, g).unwrap();
+            for addr in [0u64, 3, 8, 15, 16, 17, 63, 64, 160, 4095] {
+                for len in [1u64, 7, 16, 17, 40, 64, 65, 256, 1000] {
                     // Reference: walk every granule and accumulate slices.
                     let mut expect: Vec<Option<(u64, u64)>> = vec![None; m as usize];
-                    let first = addr / 16;
-                    let last = (addr + len - 1) / 16;
-                    for g in first..=last {
-                        let lo = (g * 16).max(addr);
-                        let hi = ((g + 1) * 16).min(addr + len);
+                    let first = addr / g;
+                    let last = (addr + len - 1) / g;
+                    for gi in first..=last {
+                        let lo = (gi * g).max(addr);
+                        let hi = ((gi + 1) * g).min(addr + len);
                         let (ch, local) = map.split(lo);
                         match &mut expect[ch as usize] {
                             s @ None => *s = Some((local, hi - lo)),
@@ -272,7 +283,7 @@ mod tests {
                     assert_eq!(
                         map.split_range(addr, len),
                         expect,
-                        "m={m} addr={addr} len={len}"
+                        "m={m} g={g} addr={addr} len={len}"
                     );
                 }
             }

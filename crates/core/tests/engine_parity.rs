@@ -10,8 +10,9 @@
 
 use mcm_core::eventsim::{run_event_driven_configured, EventDrivenResult};
 use mcm_core::{ChunkPolicy, Experiment, Pacing, RunOptions};
-use mcm_ctrl::PagePolicy;
-use mcm_load::HdOperatingPoint;
+use mcm_ctrl::{PagePolicy, PowerDownPolicy, WritePolicy};
+use mcm_dram::AddressMapping;
+use mcm_load::{HdOperatingPoint, StochasticParams, Workload};
 use mcm_sim::QueueKind;
 use proptest::prelude::*;
 
@@ -81,10 +82,63 @@ fn window_extremes_agree_between_queues() {
     }
 }
 
-/// Attaching a recorder forces the controller and device onto the
-/// unbatched per-command path; the batched fast path must produce the
-/// same frame, byte for byte and picosecond for picosecond, and the same
-/// energy bit for bit: observing a run never changes its result.
+/// Runs `e` unobserved and again with a `StatsRecorder` attached, which
+/// forces the controller and device onto the unbatched per-command path,
+/// and asserts that the two agree on everything a run reports: the frame,
+/// byte for byte and picosecond for picosecond; the energy, bit for bit;
+/// and each channel's controller and device statistics and latency
+/// record. Infeasible configurations must fail identically.
+fn assert_observed_equals_unobserved(e: &Experiment, cell: &str) {
+    let fast = e.run_with(&RunOptions::default());
+    let slow = e.run_with(
+        &RunOptions::default().with_recorder(std::sync::Arc::new(mcm_obs::StatsRecorder::new())),
+    );
+    match (fast, slow) {
+        (Ok(f), Ok(s)) => {
+            let f = f.into_frame().unwrap();
+            let s = s.into_frame().unwrap();
+            assert_eq!(f.access_time, s.access_time, "{cell}");
+            assert_eq!(f.verdict, s.verdict, "{cell}");
+            assert_eq!(f.simulated_bytes, s.simulated_bytes, "{cell}");
+            assert_eq!(
+                f.report.core_energy_pj.to_bits(),
+                s.report.core_energy_pj.to_bits(),
+                "{cell}"
+            );
+            assert_eq!(
+                f.power.core_mw.to_bits(),
+                s.power.core_mw.to_bits(),
+                "{cell}"
+            );
+            assert_eq!(f.report.channels.len(), s.report.channels.len(), "{cell}");
+            for (ch, (cf, cs)) in f.report.channels.iter().zip(&s.report.channels).enumerate() {
+                let cell = format!("{cell}, channel {ch}");
+                assert_eq!(cf.ctrl, cs.ctrl, "{cell}");
+                assert_eq!(cf.device, cs.device, "{cell}");
+                assert_eq!(cf.busy_until, cs.busy_until, "{cell}");
+                assert_eq!(cf.latency_mean, cs.latency_mean, "{cell}");
+                assert_eq!(cf.latency_max, cs.latency_max, "{cell}");
+                assert_eq!(cf.latency_p99, cs.latency_p99, "{cell}");
+                for (what, a, b) in [
+                    ("total", cf.total_energy_pj, cs.total_energy_pj),
+                    (
+                        "background",
+                        cf.background_energy_pj,
+                        cs.background_energy_pj,
+                    ),
+                    ("event", cf.event_energy_pj, cs.event_energy_pj),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{cell}: {what} energy");
+                }
+            }
+        }
+        (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string(), "{cell}"),
+        (f, s) => panic!("paths diverged at {cell}: {f:?} vs {s:?}"),
+    }
+}
+
+/// The batched fast path against per-command issue over the paper's
+/// whole operating grid: observing a run never changes its result.
 #[test]
 fn batched_admission_matches_per_command_issue() {
     for point in LEVELS {
@@ -92,53 +146,10 @@ fn batched_admission_matches_per_command_issue() {
             for clock_mhz in CLOCKS_MHZ {
                 let mut e = Experiment::paper(point, channels, clock_mhz);
                 e.op_limit = Some(3_000);
-                let cell = format!("{point:?} x {channels}ch @ {clock_mhz} MHz");
-                let fast = e.run_with(&RunOptions::default());
-                let slow = e.run_with(
-                    &RunOptions::default()
-                        .with_recorder(std::sync::Arc::new(mcm_obs::StatsRecorder::new())),
+                assert_observed_equals_unobserved(
+                    &e,
+                    &format!("{point:?} x {channels}ch @ {clock_mhz} MHz"),
                 );
-                match (fast, slow) {
-                    (Ok(f), Ok(s)) => {
-                        let f = f.into_frame().unwrap();
-                        let s = s.into_frame().unwrap();
-                        assert_eq!(f.access_time, s.access_time, "{cell}");
-                        assert_eq!(f.verdict, s.verdict, "{cell}");
-                        assert_eq!(f.simulated_bytes, s.simulated_bytes, "{cell}");
-                        assert_eq!(
-                            f.report.core_energy_pj.to_bits(),
-                            s.report.core_energy_pj.to_bits(),
-                            "{cell}"
-                        );
-                        assert_eq!(
-                            f.power.core_mw.to_bits(),
-                            s.power.core_mw.to_bits(),
-                            "{cell}"
-                        );
-                        for (cf, cs) in f.report.channels.iter().zip(&s.report.channels) {
-                            assert_eq!(cf.ctrl.row_hits, cs.ctrl.row_hits, "{cell}");
-                            assert_eq!(cf.ctrl.row_misses, cs.ctrl.row_misses, "{cell}");
-                            assert_eq!(cf.ctrl.row_conflicts, cs.ctrl.row_conflicts, "{cell}");
-                            assert_eq!(cf.device.reads, cs.device.reads, "{cell}");
-                            assert_eq!(cf.device.writes, cs.device.writes, "{cell}");
-                            assert_eq!(cf.device.activates, cs.device.activates, "{cell}");
-                            assert_eq!(cf.device.refreshes, cs.device.refreshes, "{cell}");
-                            for (what, a, b) in [
-                                ("total", cf.total_energy_pj, cs.total_energy_pj),
-                                (
-                                    "background",
-                                    cf.background_energy_pj,
-                                    cs.background_energy_pj,
-                                ),
-                                ("event", cf.event_energy_pj, cs.event_energy_pj),
-                            ] {
-                                assert_eq!(a.to_bits(), b.to_bits(), "{cell}: {what} energy");
-                            }
-                        }
-                    }
-                    (Err(f), Err(s)) => assert_eq!(f.to_string(), s.to_string(), "{cell}"),
-                    (f, s) => panic!("paths diverged at {cell}: {f:?} vs {s:?}"),
-                }
             }
         }
     }
@@ -359,5 +370,68 @@ proptest! {
             prop_assert_eq!(c.transactions, h.transactions);
             prop_assert_eq!(c.events, h.events);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// [`batched_admission_matches_per_command_issue`] beyond the paper's
+    /// defaults: random mappings, page and power-down policies, chunk
+    /// sizes (some crossing pages), pacing, write buffering, workloads and
+    /// clocks.
+    #[test]
+    fn random_configs_observed_equal_unobserved(
+        level in 0usize..5,
+        channels_log2 in 0u32..4,
+        clock_idx in 0usize..5,
+        brc in any::<bool>(),
+        closed_page in any::<bool>(),
+        power_down in 0usize..3,
+        fixed_chunk in prop_oneof![Just(0u32), 64u32..=4_096],
+        paced in any::<bool>(),
+        write_batch in prop_oneof![Just(0u32), 8u32..=32],
+        workload in 0usize..5,
+        op_limit in 200u64..1_500,
+    ) {
+        let workloads = [
+            Workload::TableI,
+            Workload::MultiTenant(2),
+            Workload::MultiTenant(3),
+            Workload::MultiTenant(4),
+            Workload::Stochastic(StochasticParams::default()),
+        ];
+        let power_downs = [
+            PowerDownPolicy::Never,
+            PowerDownPolicy::immediate(),
+            PowerDownPolicy::PowerDownThenSelfRefresh {
+                pd_after: 1,
+                sr_after: 2_000,
+            },
+        ];
+        let builder = Experiment::builder()
+            .point(LEVELS[level])
+            .channels(1 << channels_log2)
+            .clock_mhz(CLOCKS_MHZ[clock_idx])
+            .mapping(if brc { AddressMapping::Brc } else { AddressMapping::Rbc })
+            .page_policy(if closed_page { PagePolicy::Closed } else { PagePolicy::Open })
+            .power_down(power_downs[power_down])
+            .chunk(if fixed_chunk == 0 {
+                ChunkPolicy::PerChannel(64)
+            } else {
+                ChunkPolicy::Fixed(fixed_chunk)
+            })
+            .pacing(if paced { Pacing::Paced } else { Pacing::Greedy })
+            .workload(workloads[workload])
+            .op_limit(op_limit);
+        let mut e = match builder.build() {
+            Ok(e) => e,
+            // Infeasible draws (layout overflow) are build-time errors.
+            Err(_) => return Ok(()),
+        };
+        if write_batch > 0 {
+            e.memory.controller.write_policy = WritePolicy::Batched(write_batch);
+        }
+        assert_observed_equals_unobserved(&e, &format!("{e:?}"));
     }
 }

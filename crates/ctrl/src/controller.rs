@@ -14,7 +14,7 @@
 //! transfer — which is what makes the RBC address multiplexing faster than
 //! BRC on sequential traffic (see `mcm_dram::AddressMapping`).
 
-use mcm_dram::{AddressDecoder, BankCluster, ClusterStats, DramCommand, IssueOutcome};
+use mcm_dram::{AddressDecoder, BankCluster, ClusterStats, DramCommand, DramError, IssueOutcome};
 use mcm_obs::{ChannelObs, FaultKind, RowOutcome};
 use mcm_sim::stats::LatencyHistogram;
 
@@ -142,6 +142,13 @@ pub struct Controller {
     /// Requests arriving inside the first `stall` cycles of each period are
     /// deferred to the period's end. `None` (healthy) costs one branch.
     stall_window: Option<(u64, u64, u64)>,
+    /// Burst arithmetic, fixed by the geometry, whose sizes
+    /// `Geometry::validate` guarantees are powers of two: log2 of the
+    /// burst size in bytes, bursts per page minus one, and the column
+    /// (word) step from one burst to the next.
+    burst_shift: u32,
+    page_burst_mask: u64,
+    col_step: u32,
 }
 
 impl Controller {
@@ -149,6 +156,7 @@ impl Controller {
     pub fn new(config: &ControllerConfig) -> Result<Self, CtrlError> {
         let device = BankCluster::new(&config.cluster)?;
         let decoder = AddressDecoder::new(config.cluster.geometry, config.mapping)?;
+        let geometry = config.cluster.geometry;
         let t_refi = device.timing().t_refi;
         let next_forced_refresh = if config.refresh.enabled {
             (config.refresh.max_postpone as u64 + 1).saturating_mul(t_refi)
@@ -177,6 +185,9 @@ impl Controller {
             latency: LatencyHistogram::new(),
             obs: None,
             stall_window: None,
+            burst_shift: geometry.burst_bytes().trailing_zeros(),
+            page_burst_mask: u64::from(geometry.cols / geometry.burst_len) - 1,
+            col_step: geometry.burst_len,
         })
     }
 
@@ -267,7 +278,18 @@ impl Controller {
     }
 
     /// Wakes the device from self-refresh or power-down, if it sleeps.
+    #[inline]
     fn wake(&mut self, not_before: u64) -> Result<(), CtrlError> {
+        if self.device.is_self_refreshing() || self.device.is_powered_down() {
+            self.wake_device(not_before)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// [`Controller::wake`] for a device that sleeps.
+    #[inline(never)]
+    fn wake_device(&mut self, not_before: u64) -> Result<(), CtrlError> {
         if self.device.is_self_refreshing() {
             let (c, _) = self.issue(DramCommand::SelfRefreshExit, not_before)?;
             self.sr_cycles_total += c.saturating_sub(self.sr_entered_at);
@@ -329,10 +351,17 @@ impl Controller {
     /// Performs idle-period housekeeping chronologically over
     /// `[self.busy_until, target)`: power-down entry per policy and refresh
     /// catch-up at due times. Safe to call with any monotone `target`.
+    #[inline]
     fn advance_idle_to(&mut self, target: u64) -> Result<(), CtrlError> {
         if target <= self.idle_handled_to {
             return Ok(());
         }
+        self.run_idle_to(target)
+    }
+
+    /// [`Controller::advance_idle_to`] past `idle_handled_to`.
+    #[inline(never)]
+    fn run_idle_to(&mut self, target: u64) -> Result<(), CtrlError> {
         // Traffic idleness starts at busy_until and is NOT reset by
         // housekeeping (refresh) activity: the self-refresh escalation
         // measures how long the *master* has been quiet.
@@ -517,6 +546,20 @@ impl Controller {
         if req.len == 0 {
             return Err(CtrlError::EmptyRequest);
         }
+        // A request that does not fit the device is refused before it
+        // touches any state.
+        let capacity_bytes = self.decoder.capacity_bytes();
+        let fits = req
+            .addr
+            .checked_add(u64::from(req.len))
+            .is_some_and(|end| end <= capacity_bytes);
+        if !fits {
+            return Err(DramError::AddressOutOfRange {
+                addr: req.addr,
+                capacity_bytes,
+            }
+            .into());
+        }
         if req.arrival < self.last_arrival {
             return Err(CtrlError::NonMonotonicArrival {
                 arrival: req.arrival,
@@ -568,15 +611,15 @@ impl Controller {
         // Idle housekeeping between the previous activity and this arrival.
         self.advance_idle_to(req.arrival)?;
 
-        let burst_bytes = self.device.geometry().burst_bytes() as u64;
-        let first_burst = req.addr / burst_bytes;
-        let last_burst = (req.addr + req.len as u64 - 1) / burst_bytes;
+        let shift = self.burst_shift;
+        let first_burst = req.addr >> shift;
+        let last_burst = (req.addr + u64::from(req.len) - 1) >> shift;
 
         // Posted writes: accept into the buffer, drain when full.
         if req.op == AccessOp::Write {
             if let WritePolicy::Batched(depth) = self.write_policy {
                 for burst in first_burst..=last_burst {
-                    self.pending_writes.push_back(burst * burst_bytes);
+                    self.pending_writes.push_back(burst << shift);
                 }
                 if self.pending_writes.len() as u32 >= depth {
                     self.wake(req.arrival)?;
@@ -607,7 +650,7 @@ impl Controller {
             && self
                 .pending_writes
                 .iter()
-                .any(|&w| w / burst_bytes >= first_burst && w / burst_bytes <= last_burst)
+                .any(|&w| (first_burst..=last_burst).contains(&(w >> shift)))
         {
             self.stats.hazard_flushes += 1;
             self.wake(req.arrival)?;
@@ -621,9 +664,6 @@ impl Controller {
         let mut done = 0u64;
         let mut bursts = 0u32;
         let write = req.op == AccessOp::Write;
-        let geometry = *self.device.geometry();
-        let bursts_per_page = geometry.page_bytes() as u64 / burst_bytes;
-        let burst_words = (burst_bytes / geometry.word_bytes() as u64) as u32;
         let mut burst = first_burst;
         while burst <= last_burst {
             // Row-hit fast path: under the open-page policy, every burst
@@ -636,14 +676,14 @@ impl Controller {
                 && self.obs.is_none()
                 && self.busy_until.max(req.arrival) < self.next_forced_refresh;
             if !fast {
-                let (f, d) = self.issue_burst(write, burst * burst_bytes, req.arrival)?;
+                let (f, d) = self.issue_burst(write, burst << shift, req.arrival)?;
                 first_cmd = first_cmd.min(f);
                 done = done.max(d);
                 bursts += 1;
                 burst += 1;
                 continue;
             }
-            let d = self.decoder.decode(burst * burst_bytes)?;
+            let d = self.decoder.decode(burst << shift)?;
             match self.device.open_row(d.bank)? {
                 Some(row) if row == d.row => {
                     self.stats.row_hits += 1;
@@ -674,12 +714,13 @@ impl Controller {
                     first_cmd = first_cmd.min(c);
                 }
             }
-            let run = (last_burst - burst + 1).min(bursts_per_page - burst % bursts_per_page);
+            let page_left = self.page_burst_mask + 1 - (burst & self.page_burst_mask);
+            let run = (last_burst - burst + 1).min(page_left);
             let (c, data_end) = self.device.issue_column_run(
                 write,
                 d.bank,
                 d.col,
-                burst_words,
+                self.col_step,
                 run as u32,
                 req.arrival,
             )?;
@@ -816,6 +857,76 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, CtrlError::EmptyRequest));
+    }
+
+    /// `[addr, addr + len)` is refused with `AddressOutOfRange` by reads,
+    /// immediate writes and posted writes alike, after a legal request,
+    /// with no command issued and no statistic or watermark moved.
+    fn assert_refused(addr: u64, len: u32) {
+        for (op, write_policy) in [
+            (AccessOp::Read, WritePolicy::Immediate),
+            (AccessOp::Write, WritePolicy::Immediate),
+            (AccessOp::Write, WritePolicy::Batched(8)),
+        ] {
+            let mut c = ctrl_with(|cfg| cfg.write_policy = write_policy);
+            let cap = c.decoder().capacity_bytes();
+            c.access(ChannelRequest {
+                op,
+                addr: 0,
+                len: 64,
+                arrival: 0,
+            })
+            .unwrap();
+            let before = (c.stats(), c.device().stats(), c.busy_until());
+            let err = c
+                .access(ChannelRequest {
+                    op,
+                    addr,
+                    len,
+                    arrival: 10,
+                })
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CtrlError::Dram(DramError::AddressOutOfRange { addr: a, capacity_bytes })
+                        if a == addr && capacity_bytes == cap
+                ),
+                "{op:?} {write_policy:?} [{addr}, +{len}): {err:?}"
+            );
+            let after = (c.stats(), c.device().stats(), c.busy_until());
+            assert_eq!(before, after, "{op:?} {write_policy:?} [{addr}, +{len})");
+        }
+    }
+
+    #[test]
+    fn request_straddling_the_capacity_is_refused_untouched() {
+        let cap = ctrl().decoder().capacity_bytes();
+        assert_refused(cap - 16, 64);
+        // The last whole line still fits.
+        let mut c = ctrl();
+        let r = c
+            .access(ChannelRequest {
+                op: AccessOp::Read,
+                addr: cap - 64,
+                len: 64,
+                arrival: 0,
+            })
+            .unwrap();
+        assert_eq!(r.bursts, 4);
+    }
+
+    #[test]
+    fn request_beyond_the_capacity_is_refused_untouched() {
+        let cap = ctrl().decoder().capacity_bytes();
+        assert_refused(cap, 16);
+        assert_refused(cap + 4096, 64);
+    }
+
+    #[test]
+    fn request_whose_end_overflows_is_refused_untouched() {
+        assert_refused(u64::MAX - 3, 16);
+        assert_refused(u64::MAX, 1);
     }
 
     #[test]

@@ -68,6 +68,7 @@ pub struct DecodedAddress {
 pub struct AddressDecoder {
     geometry: Geometry,
     mapping: AddressMapping,
+    capacity_bytes: u64,
     byte_bits: u32,
     col_bits: u32,
     bank_bits: u32,
@@ -81,6 +82,7 @@ impl AddressDecoder {
         Ok(AddressDecoder {
             geometry,
             mapping,
+            capacity_bytes: geometry.capacity_bytes(),
             byte_bits: geometry.word_bytes().trailing_zeros(),
             col_bits: geometry.cols.trailing_zeros(),
             bank_bits: geometry.banks.trailing_zeros(),
@@ -98,12 +100,19 @@ impl AddressDecoder {
         self.mapping
     }
 
+    /// Bytes addressable: the geometry's capacity.
+    #[inline]
+    pub fn capacity_bytes(&self) -> u64 {
+        self.capacity_bytes
+    }
+
     /// Decodes a channel-local byte address.
+    #[inline]
     pub fn decode(&self, addr: u64) -> Result<DecodedAddress, DramError> {
-        if addr >= self.geometry.capacity_bytes() {
+        if addr >= self.capacity_bytes {
             return Err(DramError::AddressOutOfRange {
                 addr,
-                capacity_bytes: self.geometry.capacity_bytes(),
+                capacity_bytes: self.capacity_bytes,
             });
         }
         let word = addr >> self.byte_bits;
@@ -136,7 +145,7 @@ impl AddressDecoder {
         if d.row >= self.geometry.rows || d.col >= self.geometry.cols {
             return Err(DramError::AddressOutOfRange {
                 addr: u64::MAX,
-                capacity_bytes: self.geometry.capacity_bytes(),
+                capacity_bytes: self.capacity_bytes,
             });
         }
         let rest = match self.mapping {

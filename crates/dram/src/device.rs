@@ -188,6 +188,16 @@ fn obs_kind_of(cmd: DramCommand) -> (CommandKind, u8) {
     }
 }
 
+/// The `Read` or `Write` command to `bank`, column `col`.
+#[inline]
+fn column_command(write: bool, bank: u32, col: u32) -> DramCommand {
+    if write {
+        DramCommand::Write { bank, col }
+    } else {
+        DramCommand::Read { bank, col }
+    }
+}
+
 impl BankCluster {
     /// Builds the device; validates geometry, timing, currents and clock.
     pub fn new(config: &ClusterConfig) -> Result<Self, DramError> {
@@ -282,16 +292,19 @@ impl BankCluster {
     }
 
     /// The open row of `bank`, if any.
+    #[inline]
     pub fn open_row(&self, bank: u32) -> Result<Option<u32>, DramError> {
         self.bank(bank).map(Bank::open_row)
     }
 
     /// Whether the device is in a power-down state.
+    #[inline]
     pub fn is_powered_down(&self) -> bool {
         self.powered_down
     }
 
     /// Whether the device is in self-refresh.
+    #[inline]
     pub fn is_self_refreshing(&self) -> bool {
         self.self_refreshing
     }
@@ -303,6 +316,7 @@ impl BankCluster {
     }
 
     /// Cycle at which all in-flight data beats have completed.
+    #[inline]
     pub fn data_busy_until(&self) -> u64 {
         self.data_busy_until
     }
@@ -312,6 +326,7 @@ impl BankCluster {
         self.stats
     }
 
+    #[inline]
     fn bank(&self, bank: u32) -> Result<&Bank, DramError> {
         self.banks.get(bank as usize).ok_or(DramError::BadBank {
             bank,
@@ -479,15 +494,24 @@ impl BankCluster {
     }
 
     /// Issues a run of `n` column bursts to the already-open row of `bank`
-    /// — columns `col0, col0 + col_step, …` — each at its earliest legal
-    /// cycle. Exactly equivalent to `n` successive
-    /// [`BankCluster::issue_at_earliest`] calls with the corresponding
-    /// `Read`/`Write` commands, but scheduled in one pass without
-    /// per-command dispatch: the controller's row-hit fast path.
+    /// — columns `col0, col0 + col_step, …` — in O(1) time. Exactly
+    /// equivalent to `n` successive [`BankCluster::issue_at_earliest`]
+    /// calls with the corresponding `Read`/`Write` commands: the
+    /// controller's row-hit fast path.
     ///
-    /// Returns `(first_cycle, last_data_end)`. With observability attached
-    /// (or when any precondition fails), it falls back to the general
-    /// per-command path so callbacks and error reporting are identical.
+    /// Burst 0 issues at `c0`, the latest of the command bus, `not_before`,
+    /// the bank's column watermark and the same-direction data bus. After
+    /// a burst at `c`, only the command bus (`c + 1`) and the same-direction
+    /// data bus (`c + bl_ck`) move, and `bl_ck ≥ 1`, so burst `k` issues at
+    /// `c0 + k·bl_ck`: every watermark the run leaves follows from the last
+    /// burst's cycle. Energy still adds once per burst, in order, so the
+    /// account's f64 bits are those of per-command issue.
+    ///
+    /// Returns `(first_cycle, last_data_end)`. With observability attached,
+    /// the device asleep, a closed or bad bank, or a bad column, it issues
+    /// the bursts one command at a time instead, so callbacks and errors
+    /// are identical.
+    #[inline]
     pub fn issue_column_run(
         &mut self,
         write: bool,
@@ -498,101 +522,87 @@ impl BankCluster {
         not_before: u64,
     ) -> Result<(u64, u64), DramError> {
         debug_assert!(n > 0, "empty column run");
-        let last_col = col0 as u64 + (n as u64 - 1) * col_step as u64;
-        let fast = self.obs.is_none()
+        let fast = n > 0
+            && self.obs.is_none()
             && !self.self_refreshing
             && !self.powered_down
-            && last_col < self.geometry.cols as u64
-            && self.banks.get(bank as usize).is_some_and(|b| b.is_active());
+            && u64::from(col0) + u64::from(n - 1) * u64::from(col_step)
+                < u64::from(self.geometry.cols)
+            && self.banks.get(bank as usize).is_some_and(Bank::is_active);
         if !fast {
-            // General path: per-command issue keeps errors and obs
-            // callbacks exactly as the unbatched controller produced them.
-            let mut first = u64::MAX;
-            let mut last_end = 0;
-            for k in 0..n {
-                let col = col0 + k * col_step;
-                let cmd = if write {
-                    DramCommand::Write { bank, col }
-                } else {
-                    DramCommand::Read { bank, col }
-                };
-                let (c, out) = self.issue_at_earliest(cmd, not_before)?;
-                first = first.min(c);
-                if let Some(end) = out.data_end_cycle {
-                    last_end = end;
-                }
-            }
-            return Ok((first, last_end));
+            return self.issue_column_run_per_command(write, bank, col0, col_step, n, not_before);
         }
-        // The open row never changes during the run, so `earliest_col` is a
-        // constant and every per-burst quantity is a handful of max/adds.
+        // A row hit leaves the background state (active standby) alone.
         debug_assert!(self.bg_state == BackgroundState::from_flags(true, false));
-        let (pre_gap, latency, to_same, to_other) = if write {
-            (
-                self.timing.wr_to_pre_ck,
-                self.timing.wl,
-                self.timing.bl_ck,
-                self.timing.wr_to_rd_ck,
-            )
+        let t = &self.timing;
+        let bl_ck = t.bl_ck;
+        let (pre_gap, latency, to_other, bus_same) = if write {
+            (t.wr_to_pre_ck, t.wl, t.wr_to_rd_ck, self.earliest_wr)
         } else {
-            (
-                self.timing.t_rtp,
-                self.timing.cl,
-                self.timing.bl_ck,
-                self.timing.rd_to_wr_ck,
-            )
+            (t.t_rtp, t.cl, t.rd_to_wr_ck, self.earliest_rd)
         };
-        let bl_ck = self.timing.bl_ck;
-        let mut b = self.banks[bank as usize];
-        let ecol = b.earliest_col();
-        let (mut bus_same, mut bus_other) = if write {
-            (self.earliest_wr, self.earliest_rd)
-        } else {
-            (self.earliest_rd, self.earliest_wr)
-        };
-        let mut ecmd = self.earliest_cmd;
-        let mut first = 0;
-        let mut end = 0;
-        for k in 0..n {
-            let cycle = ecmd.max(not_before).max(ecol).max(bus_same);
-            b.apply_column(cycle, pre_gap);
-            bus_same = bus_same.max(cycle + to_same);
-            bus_other = bus_other.max(cycle + to_other);
-            end = cycle + latency + bl_ck;
-            ecmd = ecmd.max(cycle + 1);
-            if let Some(trace) = &mut self.trace {
-                let col = col0 + k * col_step;
-                let cmd = if write {
-                    DramCommand::Write { bank, col }
-                } else {
-                    DramCommand::Read { bank, col }
-                };
-                trace.push(crate::validate::TracedCommand { cycle, cmd });
-            }
-            if k == 0 {
-                first = cycle;
-            }
-        }
-        self.banks[bank as usize] = b;
-        self.earliest_cmd = ecmd;
-        self.last_state_cycle = ecmd - 1;
+        let b = &mut self.banks[bank as usize];
+        let first = self
+            .earliest_cmd
+            .max(not_before)
+            .max(b.earliest_col())
+            .max(bus_same);
+        let last = first + u64::from(n - 1) * bl_ck;
+        b.apply_column(last, pre_gap);
+        let end = last + latency + bl_ck;
+        self.earliest_cmd = last + 1;
+        self.last_state_cycle = last;
         self.data_busy_until = self.data_busy_until.max(end);
         if write {
-            self.earliest_wr = bus_same;
-            self.earliest_rd = bus_other;
+            self.earliest_wr = last + bl_ck;
+            self.earliest_rd = self.earliest_rd.max(last + to_other);
             for _ in 0..n {
                 self.energy.record_write_burst();
             }
-            self.stats.writes += n as u64;
+            self.stats.writes += u64::from(n);
         } else {
-            self.earliest_rd = bus_same;
-            self.earliest_wr = bus_other;
+            self.earliest_rd = last + bl_ck;
+            self.earliest_wr = self.earliest_wr.max(last + to_other);
             for _ in 0..n {
                 self.energy.record_read_burst();
             }
-            self.stats.reads += n as u64;
+            self.stats.reads += u64::from(n);
+        }
+        if let Some(trace) = &mut self.trace {
+            for k in 0..n {
+                trace.push(crate::validate::TracedCommand {
+                    cycle: first + u64::from(k) * bl_ck,
+                    cmd: column_command(write, bank, col0 + k * col_step),
+                });
+            }
         }
         Ok((first, end))
+    }
+
+    /// [`BankCluster::issue_column_run`] one command at a time: errors and
+    /// observability callbacks are exactly those of unbatched issue.
+    #[cold]
+    #[inline(never)]
+    fn issue_column_run_per_command(
+        &mut self,
+        write: bool,
+        bank: u32,
+        col0: u32,
+        col_step: u32,
+        n: u32,
+        not_before: u64,
+    ) -> Result<(u64, u64), DramError> {
+        let mut first = u64::MAX;
+        let mut last_end = 0;
+        for k in 0..n {
+            let cmd = column_command(write, bank, col0 + k * col_step);
+            let (c, out) = self.issue_at_earliest(cmd, not_before)?;
+            first = first.min(c);
+            if let Some(end) = out.data_end_cycle {
+                last_end = end;
+            }
+        }
+        Ok((first, last_end))
     }
 
     /// Runs the idle tail's power-down/refresh periods up to `target` in
@@ -886,6 +896,7 @@ impl BankCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cluster() -> BankCluster {
         BankCluster::new(&ClusterConfig::next_gen_mobile_ddr(400)).unwrap()
@@ -1223,6 +1234,92 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A command of the random legal prefix before a column run.
+    #[derive(Debug, Clone, Copy)]
+    enum PrefixCmd {
+        Act { bank: u32, row: u32 },
+        Pre { bank: u32 },
+        Read { bank: u32, col: u32 },
+        Write { bank: u32, col: u32 },
+    }
+
+    fn arb_prefix_cmd() -> impl Strategy<Value = PrefixCmd> {
+        prop_oneof![
+            (0u32..4, 0u32..8192).prop_map(|(bank, row)| PrefixCmd::Act { bank, row }),
+            (0u32..4).prop_map(|bank| PrefixCmd::Pre { bank }),
+            (0u32..4, 0u32..512).prop_map(|(bank, col)| PrefixCmd::Read { bank, col }),
+            (0u32..4, 0u32..512).prop_map(|(bank, col)| PrefixCmd::Write { bank, col }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A closed-form column run leaves the device exactly where the same
+        /// bursts issued one command at a time leave it: return value, every
+        /// bank and bus watermark, stats, the trace (one entry per burst) and
+        /// the energy bits, after any legal prefix, on three parts at burst
+        /// lengths 2–16 and the paper's clocks.
+        #[test]
+        fn column_run_matches_per_command_issue(
+            part in 0usize..3,
+            clock in prop_oneof![Just(200u64), Just(266), Just(333), Just(400), Just(533)],
+            burst_len_log2 in 1u32..5,
+            prefix in prop::collection::vec((arb_prefix_cmd(), 0u64..64), 0..24),
+            write in any::<bool>(),
+            bank in 0u32..4,
+            row in 0u32..8192,
+            col_seed in 0u32..512,
+            col_step in prop_oneof![Just(1u32), Just(2), Just(4)],
+            n in 1u32..=16,
+            not_before in 0u64..400,
+        ) {
+            let mut config = [
+                ClusterConfig::next_gen_mobile_ddr,
+                ClusterConfig::standard_ddr2,
+                ClusterConfig::future_lpddr2,
+            ][part](clock);
+            config.geometry.burst_len = 1 << burst_len_log2;
+            // Not every part runs at every paper clock.
+            let built = BankCluster::new(&config);
+            prop_assume!(built.is_ok());
+            let mut run = built.unwrap();
+            run.enable_trace();
+            for (cmd, nb) in prefix {
+                let cmd = match cmd {
+                    PrefixCmd::Act { bank, row } => DramCommand::Activate { bank, row },
+                    PrefixCmd::Pre { bank } => DramCommand::Precharge { bank },
+                    PrefixCmd::Read { bank, col } => DramCommand::Read { bank, col },
+                    PrefixCmd::Write { bank, col } => DramCommand::Write { bank, col },
+                };
+                // Commands illegal in the drawn state are skipped.
+                let _ = run.issue_at_earliest(cmd, nb);
+            }
+            if !run.banks[bank as usize].is_active() {
+                run.issue_at_earliest(DramCommand::Activate { bank, row }, 0).unwrap();
+            }
+            let col0 = col_seed % (config.geometry.cols - (n - 1) * col_step);
+            let mut reference = run.clone();
+            let got = run.issue_column_run(write, bank, col0, col_step, n, not_before).unwrap();
+            let mut first = u64::MAX;
+            let mut end = 0;
+            for k in 0..n {
+                let cmd = column_command(write, bank, col0 + k * col_step);
+                let (c, out) = reference.issue_at_earliest(cmd, not_before).unwrap();
+                first = first.min(c);
+                end = out.data_end_cycle.unwrap();
+            }
+            prop_assert_eq!(got, (first, end));
+            // Debug prints every field, f64s in round-trip form.
+            prop_assert_eq!(format!("{run:?}"), format!("{reference:?}"));
+            let horizon = end + 1_000;
+            prop_assert_eq!(
+                run.total_energy_pj(horizon).to_bits(),
+                reference.total_energy_pj(horizon).to_bits()
+            );
         }
     }
 
