@@ -1,18 +1,19 @@
 //! Memory-footprint bound (`MCM406`): does the use case's frame-buffer
 //! working set fit the configured channels at all?
 //!
-//! This computes [`FrameLayout`](mcm_load::FrameLayout) with *exactly* the options the simulation
-//! engine uses (bank-staggered placement over the full multi-channel
-//! capacity), so the static answer is the engine's answer: a point flagged
-//! here would abort its run with the same `LayoutOverflow`. That turns the
-//! capacity ceiling from a silent skip into an explicit, witnessed
-//! diagnostic. The ceiling itself is a datasheet
+//! This lays the frame out with [`mcm_core::feed::layout`], the placement
+//! every simulation engine path lays its frame out with, over the full
+//! multi-channel capacity, so the static answer is the engine's answer by
+//! construction: a point flagged here would abort its run with the same
+//! `LayoutOverflow`. That turns the capacity ceiling from a silent skip
+//! into an explicit, witnessed diagnostic. The ceiling itself is a datasheet
 //! field, `Geometry::capacity_bytes()`: the paper's 512 Mb part gives
 //! 64 MiB per channel, `Geometry::large_capacity_mobile_ddr` gives
 //! 256 MiB and fits 2160p30 into one or two channels.
 
 use mcm_channel::MemoryConfig;
-use mcm_load::{LayoutOptions, LoadError, LoadModel};
+use mcm_core::feed::layout;
+use mcm_load::{LoadError, LoadModel};
 use mcm_verify::{Diagnostic, Report, Severity};
 use serde_json::json;
 
@@ -28,26 +29,14 @@ pub fn lint_footprint_model(model: &dyn LoadModel, mem: &MemoryConfig) -> Report
     if model.validate().is_err() || mem.channels == 0 {
         return Report::new();
     }
-    let (capacity, options) = engine_layout_options(mem);
+    let capacity = mem.capacity_bytes();
     footprint_report(
-        model.footprint(&options).map(|f| f.total_bytes),
+        model
+            .footprint(&layout(mem, capacity))
+            .map(|f| f.total_bytes),
         capacity,
         mem,
     )
-}
-
-/// Mirror `MemorySubsystem::new`: per-device capacity times channel count,
-/// bank-staggered placement over the whole multi-channel space.
-fn engine_layout_options(mem: &MemoryConfig) -> (u64, LayoutOptions) {
-    let geometry = &mem.controller.cluster.geometry;
-    let capacity = geometry.capacity_bytes() * mem.channels as u64;
-    let options = LayoutOptions::bank_staggered(
-        capacity,
-        geometry.page_bytes() as u64,
-        mem.channels,
-        geometry.banks,
-    );
-    (capacity, options)
 }
 
 fn footprint_report(layout: Result<u64, LoadError>, capacity: u64, mem: &MemoryConfig) -> Report {
@@ -183,9 +172,9 @@ mod tests {
             (HdOperatingPoint::Uhd2160p30, 1),
         ] {
             let mem = MemoryConfig::paper(ch, 400);
-            let (capacity, options) = engine_layout_options(&mem);
-            let layout = FrameLayout::with_options(&UseCase::hd(p), &options);
-            let via_uc = footprint_report(layout.map(|l| l.total_bytes()), capacity, &mem);
+            let capacity = mem.capacity_bytes();
+            let frame = FrameLayout::with_options(&UseCase::hd(p), &layout(&mem, capacity));
+            let via_uc = footprint_report(frame.map(|l| l.total_bytes()), capacity, &mem);
             let via_model = lint_footprint_model(&table_i(p), &mem);
             assert_eq!(via_uc.ids(), via_model.ids());
             assert_eq!(via_uc.render_human(), via_model.render_human());

@@ -92,7 +92,10 @@ impl InterleaveMap {
     }
 
     /// Reassembles a global address from `(channel, local address)` —
-    /// the inverse of [`InterleaveMap::split`].
+    /// the inverse of [`InterleaveMap::split`]. A local address whose
+    /// global address would not fit in a `u64` is
+    /// [`ChannelError::AddressOutOfRange`], naming the local address and a
+    /// capacity of `u64::MAX` bytes.
     pub fn join(&self, channel: u32, local: u64) -> Result<u64, ChannelError> {
         if channel >= self.channels {
             return Err(ChannelError::BadChannel {
@@ -100,11 +103,15 @@ impl InterleaveMap {
                 channels: self.channels,
             });
         }
-        let granule_idx = local / self.granule;
-        Ok(
-            (granule_idx * self.channels as u64 + channel as u64) * self.granule
-                + local % self.granule,
-        )
+        (local / self.granule)
+            .checked_mul(u64::from(self.channels))
+            .and_then(|g| g.checked_add(u64::from(channel)))
+            .and_then(|g| g.checked_mul(self.granule))
+            .and_then(|base| base.checked_add(local % self.granule))
+            .ok_or(ChannelError::AddressOutOfRange {
+                addr: local,
+                capacity_bytes: u64::MAX,
+            })
     }
 
     /// Splits the byte range `[addr, addr + len)` into at most one
@@ -114,6 +121,11 @@ impl InterleaveMap {
     /// a transaction touches on one channel are always adjacent locally, so
     /// each channel receives a single `(local_addr, len)` slice. Channels
     /// not touched get `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, when the range runs past
+    /// `u64::MAX` ("byte range runs past the end of the address space").
     pub fn split_range(&self, addr: u64, len: u64) -> Vec<Option<(u64, u64)>> {
         let mut out = Vec::new();
         self.split_range_into(addr, len, &mut out);
@@ -129,21 +141,28 @@ impl InterleaveMap {
     /// channel). Only the first and last granules are trimmed. The cost
     /// does not depend on how many granules the range spans, and a reused
     /// buffer makes the subsystem's per-transaction fan-out allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`InterleaveMap::split_range`] when the range runs past
+    /// `u64::MAX`.
     pub fn split_range_into(&self, addr: u64, len: u64, out: &mut Vec<Option<(u64, u64)>>) {
         out.clear();
         out.resize(self.channels as usize, None);
         if len == 0 {
             return;
         }
+        let Some(last_byte) = addr.checked_add(len - 1) else {
+            panic!("byte range runs past the end of the address space: {addr:#x} + {len}");
+        };
         let m = u64::from(self.channels);
         let g = self.granule;
         let shift = g.trailing_zeros();
-        let end = addr + len;
         let first = addr >> shift;
-        let last = (end - 1) >> shift;
+        let last = last_byte >> shift;
         // Bytes the transaction does not cover in its first/last granule.
         let head = addr & (g - 1);
-        let tail = ((last + 1) << shift) - end;
+        let tail = (g - 1) - (last_byte & (g - 1));
         let n = last - first + 1;
         let (q, rem) = (n / m, n % m);
         // The offset whose run ends on granule `last`: (n - 1) % m.
@@ -152,19 +171,23 @@ impl InterleaveMap {
         let mut local = (first / m) << shift;
         for k in 0..n.min(m) {
             let mut start = local;
+            // Whole granules, then trimmed. A one-channel range touching
+            // both ends of the address space has 2^64 bytes of whole
+            // granules, but the trimmed count fits, so wrapping is exact.
             let mut bytes = (q + u64::from(k < rem)) << shift;
             if k == 0 {
                 start += head;
-                bytes -= head;
+                bytes = bytes.wrapping_sub(head);
             }
             if k == last_k {
-                bytes -= tail;
+                bytes = bytes.wrapping_sub(tail);
             }
             out[channel as usize] = Some((start, bytes));
             channel += 1;
             if channel == m {
                 channel = 0;
-                local += g;
+                // Wraps only past the last granule, which no slice uses.
+                local = local.wrapping_add(g);
             }
         }
     }
@@ -316,6 +339,41 @@ mod tests {
     fn join_rejects_bad_channel() {
         let map = InterleaveMap::new(4, 16).unwrap();
         assert!(map.join(4, 0).is_err());
+    }
+
+    #[test]
+    fn join_past_the_address_space_is_out_of_range() {
+        let map = InterleaveMap::new(4, 16).unwrap();
+        assert!(matches!(
+            map.join(0, u64::MAX),
+            Err(ChannelError::AddressOutOfRange { .. })
+        ));
+        // The last global granule still joins.
+        let (ch, local) = map.split(u64::MAX);
+        assert_eq!(map.join(ch, local).unwrap(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "byte range runs past the end of the address space")]
+    fn split_range_past_the_address_space_panics() {
+        InterleaveMap::new(4, 16)
+            .unwrap()
+            .split_range(u64::MAX - 3, 16);
+    }
+
+    #[test]
+    fn split_range_reaches_the_last_byte() {
+        // Ranges that end exactly at u64::MAX do not run past it.
+        let map = InterleaveMap::new(4, 16).unwrap();
+        let slices = map.split_range(u64::MAX - 15, 16);
+        assert_eq!(slices[3], Some((u64::MAX / 4 - 15, 16)));
+        let one = InterleaveMap::new(1, 16).unwrap();
+        assert_eq!(
+            one.split_range(u64::MAX - 15, 16),
+            [Some((u64::MAX - 15, 16))]
+        );
+        assert_eq!(one.split_range(0, u64::MAX), [Some((0, u64::MAX))]);
+        assert_eq!(one.split_range(1, u64::MAX - 1), [Some((1, u64::MAX - 1))]);
     }
 
     #[test]

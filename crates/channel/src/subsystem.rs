@@ -47,6 +47,19 @@ impl MemoryConfig {
         self.controller.mapping = mapping;
         self
     }
+
+    /// Total capacity across channels, bytes: the device geometry's
+    /// capacity times the channel count.
+    pub fn capacity_bytes(&self) -> u64 {
+        self.controller.cluster.geometry.capacity_bytes() * u64::from(self.channels)
+    }
+
+    /// Theoretical peak bandwidth: channels × bus width × 2 (DDR) × clock,
+    /// bytes per second.
+    pub fn peak_bandwidth_bytes_per_s(&self) -> f64 {
+        let word = self.controller.cluster.geometry.word_bytes() as f64;
+        self.channels as f64 * word * 2.0 * self.clock_mhz as f64 * 1e6
+    }
 }
 
 /// A master transaction: what the SMP/cache side of Fig. 2 emits toward the
@@ -217,13 +230,11 @@ impl MemorySubsystem {
                 reason: e.to_string(),
             }
         })?;
-        let capacity_bytes =
-            controllers[0].device().geometry().capacity_bytes() * config.channels as u64;
         Ok(MemorySubsystem {
             controllers,
             interleave,
             clock,
-            capacity_bytes,
+            capacity_bytes: config.capacity_bytes(),
             bytes_read: 0,
             bytes_written: 0,
             recorder: None,
@@ -345,12 +356,6 @@ impl MemorySubsystem {
     /// The shared interface clock.
     pub fn clock(&self) -> ClockDomain {
         self.clock
-    }
-
-    /// Theoretical peak bandwidth: channels × bus width × 2 (DDR) × clock.
-    pub fn peak_bandwidth_bytes_per_s(&self) -> f64 {
-        let word = self.controllers[0].device().geometry().word_bytes() as f64;
-        self.channels() as f64 * word * 2.0 * self.clock.frequency().as_hz() as f64
     }
 
     /// Turns on command tracing in every channel's controller so the
@@ -607,7 +612,7 @@ mod tests {
     fn peak_bandwidth_matches_paper_arithmetic() {
         // 8 channels × 4 B × 2 × 400 MHz = 25.6 GB/s (the XDR comparison
         // point's theoretical peak).
-        let m = mem(8);
+        let m = MemoryConfig::paper(8, 400);
         assert!((m.peak_bandwidth_bytes_per_s() - 25.6e9).abs() < 1e3);
     }
 
@@ -615,6 +620,7 @@ mod tests {
     fn capacity_scales_with_channels() {
         assert_eq!(mem(1).capacity_bytes(), 64 << 20);
         assert_eq!(mem(8).capacity_bytes(), 512 << 20);
+        assert_eq!(MemoryConfig::paper(8, 400).capacity_bytes(), 512 << 20);
     }
 
     #[test]

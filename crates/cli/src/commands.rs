@@ -1,5 +1,7 @@
 //! Command execution for the `mcm` binary.
 
+use mcm_channel::MemorySubsystem;
+use mcm_core::feed::transaction;
 use mcm_core::{analysis, figures, CoreError, Experiment, Pacing};
 use mcm_load::UseCase;
 use mcm_sweep::ParallelRunner;
@@ -9,8 +11,16 @@ use crate::args::{
     SweepArgs, USAGE,
 };
 
-fn build_experiment(o: &RunOptions) -> Experiment {
-    let mut exp = Experiment::paper(o.point, o.channels, o.clock_mhz);
+/// The experiment the run options describe. Channel count and clock are
+/// validated first, as typed errors; the other flags are applied after, so
+/// `mcm lint` and `mcm check` can still report what is wrong with them.
+fn build_experiment(o: &RunOptions) -> Result<Experiment, CliError> {
+    let mut exp = Experiment::builder()
+        .point(o.point)
+        .channels(o.channels)
+        .clock_mhz(o.clock_mhz)
+        .build()
+        .map_err(|e| CliError(e.to_string()))?;
     if o.viewfinder {
         exp.use_case = UseCase::viewfinder(o.point);
     }
@@ -24,7 +34,12 @@ fn build_experiment(o: &RunOptions) -> Experiment {
     if let Some(n) = o.op_limit {
         exp.op_limit = Some(n);
     }
-    exp
+    Ok(exp)
+}
+
+/// A failed simulation, as the CLI reports it.
+fn sim_err(e: impl Into<CoreError>) -> CliError {
+    CliError(format!("simulation failed: {}", e.into()))
 }
 
 /// Loads and validates the `--faults <plan.json>` file, when given.
@@ -84,8 +99,7 @@ fn reject_unapplied(o: &RunOptions, what: &str, unapplied: &[RunFlag]) -> Result
 const VERIFY_OP_LIMIT: u64 = 50_000;
 
 fn run_one(o: &RunOptions) -> Result<String, CliError> {
-    let sim_err = |e: CoreError| CliError(format!("simulation failed: {e}"));
-    let mut exp = build_experiment(o);
+    let mut exp = build_experiment(o)?;
     let faults = load_fault_plan(o)?;
     // Refuse statically-broken healthy configs before burning simulation
     // time: the analyzer's error findings are sound for healthy runs, but
@@ -247,9 +261,9 @@ fn run_one(o: &RunOptions) -> Result<String, CliError> {
     }
 }
 
-fn run_headroom(o: &RunOptions) -> Result<String, CoreError> {
-    let exp = build_experiment(o);
-    let fps = analysis::max_sustainable_fps(&exp)?;
+fn run_headroom(o: &RunOptions) -> Result<String, CliError> {
+    let exp = build_experiment(o)?;
+    let fps = analysis::max_sustainable_fps(&exp).map_err(sim_err)?;
     Ok(match fps {
         Some(f) => format!(
             "{} x {} ch @ {} MHz sustains up to {f} fps (real time with 15% margin)\n",
@@ -268,7 +282,6 @@ fn run_headroom(o: &RunOptions) -> Result<String, CoreError> {
 
 /// Executes a parsed command, returning the text to print.
 pub fn execute(cmd: &Command) -> Result<String, CliError> {
-    let sim_err = |e: CoreError| CliError(format!("simulation failed: {e}"));
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
         Command::Table1 => Ok(figures::render_table1(&figures::table1_data())
@@ -329,15 +342,15 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         Command::Run(o) => run_one(o),
         Command::Headroom(o) => {
             reject_unapplied(o, "headroom", &[Faults, Verify])?;
-            run_headroom(o).map_err(sim_err)
+            run_headroom(o)
         }
         Command::Steady { options, frames } => {
             reject_unapplied(options, "steady", &[Faults, Paced])?;
-            run_steady(options, *frames).map_err(sim_err)
+            run_steady(options, *frames)
         }
         Command::Profile(o) => {
             reject_unapplied(o, "profile", &[Faults, Paced, Verify])?;
-            let exp = build_experiment(o);
+            let exp = build_experiment(o)?;
             let p = mcm_core::profile::run_profiled(&exp).map_err(sim_err)?;
             let mut out = p.render();
             if let Some(b) = p.bottleneck() {
@@ -370,7 +383,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         }
         Command::ConfigDump(o) => {
             reject_unapplied(o, "config-dump", &[Faults, Verify])?;
-            let exp = build_experiment(o);
+            let exp = build_experiment(o)?;
             serde_json::to_string_pretty(&exp)
                 .map(|mut s| {
                     s.push('\n');
@@ -490,7 +503,7 @@ fn run_fault(a: &FaultArgs) -> Result<String, CliError> {
 fn run_report(a: &ReportArgs) -> Result<String, CliError> {
     use mcm_obs::{ObsConfig, StatsRecorder};
 
-    let exp = build_experiment(&a.options);
+    let exp = build_experiment(&a.options)?;
     let config = ObsConfig {
         timeline_bucket_ps: a.timeline_bucket_us * 1_000_000,
         ..ObsConfig::default()
@@ -721,7 +734,7 @@ fn run_check(o: &RunOptions) -> Result<String, CliError> {
 /// the JSON output.
 fn run_lint(o: &RunOptions) -> Result<String, CliError> {
     reject_unapplied(o, "lint", &[Faults, Paced, Verify])?;
-    let exp = build_experiment(o);
+    let exp = build_experiment(o)?;
     let mut findings = mcm_verify::lint_all(&exp.use_case, &exp.memory, &exp.interface);
     findings.merge(mcm_analyze::analyze_experiment(&exp));
     findings.sort_by_severity();
@@ -763,7 +776,7 @@ fn check_findings(o: &RunOptions) -> Result<mcm_verify::Report, CliError> {
     use mcm_verify::{check_address_roundtrip, check_interleave, Diagnostic, Severity};
 
     let plan = load_fault_plan(o)?;
-    let mut exp = build_experiment(o);
+    let mut exp = build_experiment(o)?;
     exp.op_limit = Some(exp.op_limit.unwrap_or(VERIFY_OP_LIMIT).min(VERIFY_OP_LIMIT));
     let geometry = exp.memory.controller.cluster.geometry;
 
@@ -821,79 +834,48 @@ fn check_findings(o: &RunOptions) -> Result<mcm_verify::Report, CliError> {
     Ok(findings)
 }
 
+/// `mcm timeline`: channel 0's command schedule over the first `cycles`
+/// cycles of the frame, from the same subsystem and frame feed as `mcm run`.
 fn timeline(o: &RunOptions, cycles: u64) -> Result<String, CliError> {
-    use mcm_ctrl::{ChannelRequest, Controller};
-    use mcm_load::LayoutOptions;
-    let exp = build_experiment(o);
-    let geometry = exp.memory.controller.cluster.geometry;
-    let mut ctrl = Controller::new(&exp.memory.controller)
-        .map_err(|e| CliError(format!("controller: {e}")))?;
-    ctrl.enable_trace();
-    // Feed channel 0's share of the frame until the window is covered.
-    // Traffic comes from the selected workload model, so `--workload`
-    // shapes the schedule exactly as it shapes the engine's.
-    let options = LayoutOptions::bank_staggered(
-        geometry.capacity_bytes() * o.channels as u64,
-        geometry.page_bytes() as u64,
-        o.channels,
-        geometry.banks,
-    );
-    let interleave = mcm_channel::InterleaveMap::new(o.channels, exp.memory.granule_bytes)
-        .map_err(|e| CliError(format!("interleave: {e}")))?;
+    const WIDTH: u64 = 200;
+    let exp = build_experiment(o)?;
+    let mut memory = MemorySubsystem::new(&exp.memory).map_err(sim_err)?;
+    memory.enable_trace();
     let traffic = exp
-        .model()
-        .traffic(&options, exp.chunk.bytes(o.channels), 0, &[])
-        .map_err(|e| CliError(format!("traffic: {e}")))?;
+        .feed(memory.capacity_bytes())
+        .traffic(exp.model().as_ref(), 0, &[])
+        .map_err(sim_err)?;
+    // At most WIDTH cycles are drawn; a transaction submitted once channel
+    // 0 is busy 64 cycles past them issues no command inside them.
+    let horizon = cycles.min(WIDTH) + 64;
     for op in traffic {
-        if ctrl.busy_until() > cycles + 64 {
+        if memory.controller(0).map_err(sim_err)?.busy_until() > horizon {
             break;
         }
-        for (ch, slice) in interleave
-            .split_range(op.addr, op.len as u64)
-            .into_iter()
-            .enumerate()
-        {
-            let Some((local, len)) = slice else { continue };
-            if ch != 0 {
-                continue;
-            }
-            ctrl.access(ChannelRequest {
-                op: if op.write {
-                    mcm_ctrl::AccessOp::Write
-                } else {
-                    mcm_ctrl::AccessOp::Read
-                },
-                addr: local,
-                len: len as u32,
-                arrival: 0,
-            })
-            .map_err(|e| CliError(format!("access: {e}")))?;
-        }
+        memory.submit(transaction(&op, 0)).map_err(sim_err)?;
     }
-    let trace = ctrl.device().trace().expect("trace enabled");
+    let channel0 = memory.controller(0).map_err(sim_err)?;
+    let trace = channel0.device().trace().expect("trace enabled");
     let mut out = format!(
         "channel 0 command schedule, cycles 0..{cycles} ({} on {} ch @ {} MHz)\n\n",
         o.point, o.channels, o.clock_mhz
     );
-    out += &mcm_dram::timeline::render_timeline(trace, geometry.banks, 0, cycles, 200);
+    out += &mcm_dram::timeline::render_timeline(
+        trace,
+        channel0.device().geometry().banks,
+        0,
+        cycles,
+        WIDTH as usize,
+    );
     out += "\nA activate, r read, w write, P precharge, F refresh, D/U power-down\nenter/exit, S/X self-refresh enter/exit, '-' row open.\n";
     Ok(out)
 }
 
 fn trace_dump(o: &RunOptions, out: &str) -> Result<String, CliError> {
-    use mcm_load::LayoutOptions;
-    let exp = build_experiment(o);
-    let geometry = exp.memory.controller.cluster.geometry;
-    let capacity = geometry.capacity_bytes() * o.channels as u64;
-    let options = LayoutOptions::bank_staggered(
-        capacity,
-        geometry.page_bytes() as u64,
-        o.channels,
-        geometry.banks,
-    );
+    let exp = build_experiment(o)?;
     let traffic = exp
-        .model()
-        .traffic(&options, exp.chunk.bytes(o.channels), 0, &[])
+        .feed(exp.memory.capacity_bytes())
+        .traffic(exp.model().as_ref(), 0, &[])
         .map_err(|e| CliError(format!("traffic failed: {e}")))?;
     let io_err = |e: std::io::Error| CliError(format!("cannot write '{out}': {e}"));
     let n = if out == "-" {
@@ -908,11 +890,12 @@ fn trace_dump(o: &RunOptions, out: &str) -> Result<String, CliError> {
 }
 
 fn trace_run(o: &RunOptions, input: &str) -> Result<String, CliError> {
-    let exp = build_experiment(o);
+    let exp = build_experiment(o)?;
     let file =
         std::fs::File::open(input).map_err(|e| CliError(format!("cannot read '{input}': {e}")))?;
     let ops = mcm_load::read_trace(std::io::BufReader::new(file))
         .map_err(|e| CliError(format!("bad trace: {e}")))?;
+    let ops = exp.feed(exp.memory.capacity_bytes()).cap(ops.into_iter());
     let r = mcm_core::tracerun::run_trace(&exp.memory, ops, &exp.interface)
         .map_err(|e| CliError(format!("replay failed: {e}")))?;
     Ok(format!(
@@ -927,17 +910,18 @@ fn trace_run(o: &RunOptions, input: &str) -> Result<String, CliError> {
     ))
 }
 
-fn run_steady(o: &RunOptions, frames: u32) -> Result<String, CoreError> {
+fn run_steady(o: &RunOptions, frames: u32) -> Result<String, CliError> {
     if frames < 2 {
-        return Err(CoreError::BadParam {
+        return Err(sim_err(CoreError::BadParam {
             reason: format!(
                 "a steady session needs at least 2 frames (got {frames}); use 'mcm run' for one"
             ),
-        });
+        }));
     }
-    let exp = build_experiment(o);
+    let exp = build_experiment(o)?;
     let r = exp
-        .run_with(&mcm_core::RunOptions::steady(frames).with_verify(o.verify))?
+        .run_with(&mcm_core::RunOptions::steady(frames).with_verify(o.verify))
+        .map_err(sim_err)?
         .into_steady()
         .expect("a multi-frame run has a steady outcome");
     let mut out = format!(
@@ -1599,6 +1583,116 @@ mod trace_cli_tests {
         let cmd = parse_args(["trace-run", "--in", "/nonexistent/file"]).unwrap();
         let err = execute(&cmd).unwrap_err();
         assert!(err.to_string().contains("cannot read"));
+    }
+
+    #[test]
+    fn op_limit_caps_the_dump_and_the_replay() {
+        let dir = std::env::temp_dir().join(format!("mcm_cli_op_limit_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ten.trace");
+        let path_s = path.to_str().unwrap();
+        let cmd = parse_args([
+            "trace-dump",
+            "--format",
+            "720p30",
+            "--channels",
+            "1",
+            "--op-limit",
+            "10",
+            "--out",
+            path_s,
+        ])
+        .unwrap();
+        let out = execute(&cmd).unwrap();
+        assert_eq!(out, format!("wrote 10 operations to {path_s}\n"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().filter(|l| !l.starts_with('#')).count(), 10);
+
+        let cmd = parse_args(["trace-run", "--op-limit", "5", "--in", path_s]).unwrap();
+        let out = execute(&cmd).unwrap();
+        assert!(out.starts_with("replayed 5 ops"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[cfg(test)]
+mod frame_feed_cli_tests {
+    //! Every run-option subcommand builds its experiment and its frame the
+    //! same way `mcm run` does.
+    use super::*;
+    use crate::args::parse_args;
+
+    /// Each subcommand that takes the run options, with the arguments it
+    /// needs besides them.
+    const RUN_OPTION_COMMANDS: &[&[&str]] = &[
+        &["run"],
+        &["check"],
+        &["lint"],
+        &["report"],
+        &["steady"],
+        &["profile"],
+        &["headroom"],
+        &["timeline"],
+        &["config-dump"],
+        &["trace-dump", "--out", "-"],
+        &["trace-run", "--in", "t.trace"],
+    ];
+
+    #[test]
+    fn bad_channel_counts_and_clocks_are_typed_errors() {
+        for (flag, value, reason) in [
+            (
+                "--channels",
+                "3",
+                "channels 3 must be a non-zero power of two",
+            ),
+            ("--clock", "0", "clock frequency must be non-zero MHz"),
+        ] {
+            for command in RUN_OPTION_COMMANDS {
+                let mut args = command.to_vec();
+                args.extend([flag, value]);
+                let err = execute(&parse_args(args.iter().copied()).unwrap()).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    format!("bad experiment parameter: {reason}"),
+                    "{args:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn timeline_honours_the_op_limit() {
+        let timeline = |extra: &[&str]| {
+            let mut args = vec!["timeline", "--format", "720p30", "--channels", "2"];
+            args.extend_from_slice(extra);
+            execute(&parse_args(args).unwrap()).unwrap()
+        };
+        let full = timeline(&[]);
+        let one = timeline(&["--op-limit", "1"]);
+        // The first 128-byte write gives channel 0 its 64 bytes: four
+        // bursts, where the whole frame fills the window.
+        let bursts = |s: &str| {
+            s.lines()
+                .filter(|l| l.starts_with("bank"))
+                .map(|l| l.matches(['r', 'w']).count())
+                .sum::<usize>()
+        };
+        assert_eq!(bursts(&one), 4, "{one}");
+        assert!(bursts(&full) > 4, "{full}");
+    }
+
+    #[test]
+    fn timeline_refuses_what_run_refuses() {
+        for command in ["run", "timeline"] {
+            let args = [command, "--format", "720p30", "--granule", "8"];
+            let err = execute(&parse_args(args).unwrap()).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("granule 8 B must be a multiple of the 16 B DRAM burst"),
+                "{command}: {err}"
+            );
+        }
     }
 }
 

@@ -17,13 +17,16 @@
 //!   becomes latency-bound and the multi-channel speedup collapses; the
 //!   `ext_mlp` bench target sweeps this.
 
-use mcm_channel::InterleaveMap;
+use mcm_channel::{ChannelError, InterleaveMap};
 use mcm_ctrl::{AccessOp, ChannelRequest, Controller, CtrlError};
-use mcm_load::{LayoutOptions, LoadOp};
-use mcm_sim::{Component, ComponentId, Ctx, QueueKind, SimTime, Simulation};
+use mcm_load::LoadOp;
+use mcm_sim::{
+    ClockDomain, Component, ComponentId, Ctx, Frequency, QueueKind, SimTime, Simulation,
+};
 
 use crate::error::CoreError;
 use crate::experiment::Experiment;
+use crate::feed::access_op;
 
 /// Messages exchanged between the load master and the channels.
 #[derive(Debug)]
@@ -96,7 +99,7 @@ struct MasterComp {
     ops: std::vec::IntoIter<LoadOp>,
     interleave: InterleaveMap,
     channels: Vec<ComponentId>,
-    clock: mcm_sim::ClockDomain,
+    clock: ClockDomain,
     window: u32,
     next_txn: u64,
     /// Slices still in flight per transaction, indexed by `txn - txn_base`
@@ -131,11 +134,7 @@ impl MasterComp {
                     Msg::Request {
                         txn,
                         req: ChannelRequest {
-                            op: if op.write {
-                                AccessOp::Write
-                            } else {
-                                AccessOp::Read
-                            },
+                            op: access_op(&op),
                             addr: local,
                             len: len as u32,
                             arrival,
@@ -230,23 +229,16 @@ pub fn run_event_driven_configured(
     }
     let channels = exp.memory.channels;
     let clock_mhz = exp.memory.clock_mhz;
+    let clock =
+        ClockDomain::new(Frequency::from_mhz(clock_mhz)).map_err(|e| CoreError::BadParam {
+            reason: format!("interface clock {clock_mhz} MHz: {e}"),
+        })?;
     let interleave =
         InterleaveMap::new(channels, exp.memory.granule_bytes).map_err(CoreError::Memory)?;
-    let geometry = exp.memory.controller.cluster.geometry;
-    let capacity = geometry.capacity_bytes() * channels as u64;
-    let layout_opts = LayoutOptions::bank_staggered(
-        capacity,
-        geometry.page_bytes() as u64,
-        channels,
-        geometry.banks,
-    );
-    let traffic = exp
-        .model()
-        .traffic(&layout_opts, exp.chunk.bytes(channels), 0, &[])?;
-    let mut ops: Vec<LoadOp> = traffic.collect();
-    if let Some(limit) = exp.op_limit {
-        ops.truncate(limit as usize);
-    }
+    let ops: Vec<LoadOp> = exp
+        .feed(exp.memory.capacity_bytes())
+        .traffic(exp.model().as_ref(), 0, &[])?
+        .collect();
     let total_ops = ops.len() as u64;
 
     let mut sim: Simulation<Msg> = Simulation::with_queue(queue);
@@ -255,12 +247,11 @@ pub fn run_event_driven_configured(
     }
     let mut channel_ids = Vec::with_capacity(channels as usize);
     for ch in 0..channels {
-        let mut ctrl = Controller::new(&exp.memory.controller).map_err(|e| {
-            CoreError::Memory(mcm_channel::ChannelError::Ctrl {
-                channel: 0,
-                source: e,
-            })
-        })?;
+        let mut ctrl =
+            Controller::new(&exp.memory.controller).map_err(|source| ChannelError::Ctrl {
+                channel: ch,
+                source,
+            })?;
         if let Some(rec) = &recorder {
             ctrl.set_obs(mcm_obs::ChannelObs::new(rec.clone(), ch));
         }
@@ -274,11 +265,7 @@ pub fn run_event_driven_configured(
         ops: ops.into_iter(),
         interleave,
         channels: channel_ids.clone(),
-        clock: mcm_sim::ClockDomain::new(mcm_sim::Frequency::from_mhz(clock_mhz)).map_err(|e| {
-            CoreError::BadParam {
-                reason: e.to_string(),
-            }
-        })?,
+        clock,
         window,
         next_txn: 0,
         inflight: std::collections::VecDeque::new(),
@@ -324,12 +311,6 @@ pub fn run_event_driven_configured(
                 reason: "event-sim master component not registered".into(),
             })?;
     let last_cycle = master_ref.last_done_cycle;
-    let clock =
-        mcm_sim::ClockDomain::new(mcm_sim::Frequency::from_mhz(clock_mhz)).map_err(|e| {
-            CoreError::BadParam {
-                reason: format!("interface clock {clock_mhz} MHz: {e}"),
-            }
-        })?;
     Ok(EventDrivenResult {
         access_time: clock.time_of_cycles(last_cycle),
         transactions: total_ops,

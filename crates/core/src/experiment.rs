@@ -8,12 +8,9 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use mcm_channel::{MasterTransaction, MemoryConfig, MemorySubsystem, SubsystemReport};
-use mcm_ctrl::AccessOp;
+use mcm_channel::{MemoryConfig, MemorySubsystem, SubsystemReport};
 use mcm_fault::{DegradeSummary, FaultPlan, StageShed, SHED_PRIORITY};
-use mcm_load::{
-    HdOperatingPoint, LayoutOptions, LoadModel, Region, Stage, Traffic, UseCase, Workload,
-};
+use mcm_load::{HdOperatingPoint, LoadModel, Region, Stage, Traffic, UseCase, Workload};
 use mcm_power::{InterfacePowerModel, PowerSummary};
 use mcm_sim::SimTime;
 use mcm_verify::{
@@ -22,6 +19,7 @@ use mcm_verify::{
 };
 
 use crate::error::CoreError;
+use crate::feed::transaction;
 
 /// How a configuration fares against the frame's real-time budget.
 ///
@@ -315,13 +313,6 @@ impl RunOptions {
         self
     }
 
-    /// Sets the frame count (builder style): `1` for the paper's
-    /// single-frame evaluation, more for a steady-state session.
-    pub fn with_frames(mut self, frames: u32) -> Self {
-        self.frames = frames;
-        self
-    }
-
     /// Caps the number of simulated load operations (builder style),
     /// overriding [`Experiment::op_limit`].
     pub fn with_op_limit(mut self, op_limit: u64) -> Self {
@@ -591,54 +582,39 @@ impl Experiment {
             memory.apply_faults(plan)?;
         }
 
+        // Under channel loss the subsystem reports its shrunken capacity,
+        // so the frame set is laid out over the survivors.
+        let feed = self.feed(memory.capacity_bytes());
         let fps = self.use_case.fps;
-        let frame_budget = SimTime::from_ps(1_000_000_000_000u64 / fps as u64);
+        let frame_budget = feed.budget();
         let budget_cycles = memory.clock().cycles_at(frame_budget);
-
-        // Bank-staggered placement: concurrently streamed buffers land in
-        // different banks, as any locality-aware allocator arranges. Under
-        // channel loss the subsystem reports its shrunken capacity, so the
-        // frame set is laid out over the survivors.
-        let geometry = self.memory.controller.cluster.geometry;
-        let layout_opts = LayoutOptions::bank_staggered(
-            memory.capacity_bytes(),
-            geometry.page_bytes() as u64,
-            memory.channels(),
-            geometry.banks,
-        );
-        let chunk = self.chunk.bytes(memory.channels());
-        let full_plan = model.traffic(&layout_opts, chunk, 0, &[])?;
-        let full_bytes = full_plan.total_bytes();
+        let full_plan = feed.traffic(model, 0, &[])?;
+        let full_bytes = full_plan.uncapped().total_bytes();
 
         // Load shedding: when the degraded memory cannot carry the full
         // frame, drop Table I stages in priority order (viewfinder and
         // display before encoder reference traffic).
         let (shed_stages, shed_record) = match faults {
-            Some(plan) => self.plan_shedding(&memory, plan, &full_plan, frame_budget),
+            Some(plan) => self.plan_shedding(&memory, plan, full_plan.uncapped(), frame_budget),
             None => (Vec::new(), Vec::new()),
         };
         let traffic = if shed_stages.is_empty() {
             full_plan
         } else {
-            model.traffic(&layout_opts, chunk, 0, &shed_stages)?
+            feed.traffic(model, 0, &shed_stages)?
         };
-        let planned_bytes = traffic.total_bytes();
+        let planned_bytes = traffic.uncapped().total_bytes();
 
         // Multi-tenant attribution: every op belongs to the tenant whose
         // address span contains it; accesses outside every span are strays
         // (an MCM204 violation).
-        let spans: Vec<Region> = traffic.tenant_spans().to_vec();
+        let spans: Vec<Region> = traffic.uncapped().tenant_spans().to_vec();
         let mut tallies = vec![TenantSummary::default(); spans.len()];
         let mut strays: Vec<(u64, u32)> = Vec::new();
         let mut stray_count = 0u64;
 
         let mut simulated_bytes = 0u64;
-        for (ops, op) in traffic.enumerate() {
-            if let Some(limit) = self.op_limit {
-                if ops as u64 >= limit {
-                    break;
-                }
-            }
+        for op in traffic {
             if !spans.is_empty() {
                 let tenant = spans
                     .iter()
@@ -673,16 +649,7 @@ impl Experiment {
                         as u64
                 }
             };
-            memory.submit(MasterTransaction {
-                op: if op.write {
-                    AccessOp::Write
-                } else {
-                    AccessOp::Read
-                },
-                addr: op.addr,
-                len: op.len as u64,
-                arrival,
-            })?;
+            memory.submit(transaction(&op, arrival))?;
             simulated_bytes += op.len as u64;
         }
         // Power is averaged over the frame period; if the frame overruns,
@@ -692,6 +659,7 @@ impl Experiment {
         let report = memory.finish(horizon_cycles)?;
 
         if let Some(findings) = verify.as_deref_mut() {
+            let geometry = self.memory.controller.cluster.geometry;
             let budget = self
                 .memory
                 .controller
@@ -733,13 +701,7 @@ impl Experiment {
         };
         let access_time = SimTime::from_ps((report.access_time.as_ps() as f64 * scale) as u64);
 
-        let verdict = if access_time > frame_budget {
-            RealTimeVerdict::Fails
-        } else if access_time.as_ps() as f64 > frame_budget.as_ps() as f64 * (1.0 - self.margin) {
-            RealTimeVerdict::Marginal
-        } else {
-            RealTimeVerdict::Meets
-        };
+        let verdict = feed.judge(access_time.as_ps(), frame_budget.as_ps());
 
         let horizon = memory.clock().time_of_cycles(horizon_cycles);
         let core_mw = report.core_energy_pj * scale / horizon.as_ns_f64() / 1e3 * 1e3;
@@ -804,7 +766,7 @@ impl Experiment {
             power,
             planned_bytes,
             simulated_bytes,
-            peak_bandwidth_bytes_per_s: memory.peak_bandwidth_bytes_per_s(),
+            peak_bandwidth_bytes_per_s: self.memory.peak_bandwidth_bytes_per_s(),
             degrade,
             tenants: tallies,
             report,
@@ -829,7 +791,7 @@ impl Experiment {
         let channels = memory.channels();
         let survivors = plan.survivors(channels);
         let availability = plan.mean_availability(&survivors);
-        let degraded_peak = memory.peak_bandwidth_bytes_per_s() * survivors.len() as f64
+        let degraded_peak = self.memory.peak_bandwidth_bytes_per_s() * survivors.len() as f64
             / f64::from(channels)
             * availability;
         let budget_bytes =

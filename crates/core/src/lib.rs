@@ -8,6 +8,8 @@
 //!   per-frame access time, the real-time verdict with the paper's 15 %
 //!   data-processing margin, and average power (DRAM core + equation (1)
 //!   interface power);
+//! * [`feed`] — the one place every engine path takes its frame from: the
+//!   budget, the layout, the capped traffic and the real-time verdict;
 //! * [`figures`] — data builders and text renderers for Table I, Table II,
 //!   Fig. 3, Fig. 4, Fig. 5 and the XDR comparison;
 //! * [`analysis`] — the conclusions' derived claims (≈2× speedup per
@@ -44,6 +46,7 @@ pub mod charts;
 mod error;
 pub mod eventsim;
 mod experiment;
+pub mod feed;
 pub mod figures;
 pub mod profile;
 pub mod runner;
@@ -56,4 +59,5 @@ pub use experiment::{
     ChunkPolicy, Experiment, FrameResult, Pacing, RealTimeVerdict, RunOptions, RunOutcome,
     TenantSummary,
 };
+pub use feed::FrameFeed;
 pub use runner::{BatchRunner, SerialRunner};

@@ -5,13 +5,13 @@
 //! the two differ because stages have different read/write mixes (bus
 //! turnarounds), locality (row hits) and buffer placement.
 
-use mcm_channel::{MasterTransaction, MemorySubsystem};
-use mcm_ctrl::AccessOp;
-use mcm_load::{LayoutOptions, Stage};
+use mcm_channel::MemorySubsystem;
+use mcm_load::Stage;
 use mcm_sim::SimTime;
 
 use crate::error::CoreError;
 use crate::experiment::{Experiment, Pacing};
+use crate::feed::transaction;
 
 /// One stage's share of the frame.
 #[derive(Debug, Clone, Copy)]
@@ -89,15 +89,9 @@ pub fn run_profiled(exp: &Experiment) -> Result<FrameProfile, CoreError> {
         });
     }
     let mut memory = MemorySubsystem::new(&exp.memory)?;
-    let geometry = exp.memory.controller.cluster.geometry;
-    let layout_opts = LayoutOptions::bank_staggered(
-        memory.capacity_bytes(),
-        geometry.page_bytes() as u64,
-        memory.channels(),
-        geometry.banks,
-    );
-    let model = exp.model();
-    let mut traffic = model.traffic(&layout_opts, exp.chunk.bytes(memory.channels()), 0, &[])?;
+    let mut traffic = exp
+        .feed(memory.capacity_bytes())
+        .traffic(exp.model().as_ref(), 0, &[])?;
 
     let clock = memory.clock();
     let mut stages: Vec<StageProfile> = Vec::new();
@@ -105,19 +99,12 @@ pub fn run_profiled(exp: &Experiment) -> Result<FrameProfile, CoreError> {
     let mut stage_bytes = 0u64;
     let mut stage_started = SimTime::ZERO; // completion watermark at entry
     let mut last_done = SimTime::ZERO;
-    let mut ops = 0u64;
 
     loop {
         // `current_stage` reflects the stage the iterator will draw from
         // *next*, so sample it before pulling the op.
-        let stage_before = traffic.current_stage();
+        let stage_before = traffic.uncapped().current_stage();
         let Some(op) = traffic.next() else { break };
-        if let Some(limit) = exp.op_limit {
-            if ops >= limit {
-                break;
-            }
-        }
-        ops += 1;
         let Some(stage) = stage_before else {
             // The traffic iterator only yields ops inside a stage.
             break;
@@ -134,16 +121,7 @@ pub fn run_profiled(exp: &Experiment) -> Result<FrameProfile, CoreError> {
             stage_bytes = 0;
             stage_started = last_done;
         }
-        let res = memory.submit(MasterTransaction {
-            op: if op.write {
-                AccessOp::Write
-            } else {
-                AccessOp::Read
-            },
-            addr: op.addr,
-            len: op.len as u64,
-            arrival: 0,
-        })?;
+        let res = memory.submit(transaction(&op, 0))?;
         stage_bytes += op.len as u64;
         last_done = last_done.max(clock.time_of_cycles(res.done_cycle));
     }

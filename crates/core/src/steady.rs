@@ -12,13 +12,13 @@
 //! traffic queues behind it, exactly as a real pipeline would back up.
 
 use mcm_channel::{MasterTransaction, MemorySubsystem};
-use mcm_ctrl::AccessOp;
-use mcm_load::{LayoutOptions, LoadModel};
+use mcm_load::LoadModel;
 use mcm_power::PowerSummary;
 use mcm_sim::SimTime;
 
 use crate::error::CoreError;
 use crate::experiment::{Experiment, RealTimeVerdict};
+use crate::feed::transaction;
 
 /// Per-frame measurement within a steady-state run.
 #[derive(Debug, Clone, Copy)]
@@ -84,41 +84,18 @@ pub fn run_steady_state(
     if let Some(rec) = &recorder {
         memory.set_recorder(rec.clone());
     }
-    let geometry = exp.memory.controller.cluster.geometry;
-    let layout_opts = LayoutOptions::bank_staggered(
-        memory.capacity_bytes(),
-        geometry.page_bytes() as u64,
-        memory.channels(),
-        geometry.banks,
-    );
-    let frame_budget = SimTime::from_ps(1_000_000_000_000u64 / exp.use_case.fps as u64);
-    let budget_cycles = memory.clock().cycles_at(frame_budget);
-    let chunk = exp.chunk.bytes(memory.channels());
+    let feed = exp.feed(memory.capacity_bytes());
+    let budget_cycles = memory.clock().cycles_at(feed.budget());
 
     let mut samples = Vec::with_capacity(frames as usize);
     let mut bytes = 0u64;
     let mut batch: Vec<MasterTransaction> = Vec::new();
     for f in 0..frames {
         let start = f as u64 * budget_cycles;
-        let traffic = model.traffic(&layout_opts, chunk, f as u64, &[])?;
         batch.clear();
         let mut frame_bytes = 0u64;
-        for (ops, op) in traffic.enumerate() {
-            if let Some(limit) = exp.op_limit {
-                if ops as u64 >= limit {
-                    break;
-                }
-            }
-            batch.push(MasterTransaction {
-                op: if op.write {
-                    AccessOp::Write
-                } else {
-                    AccessOp::Read
-                },
-                addr: op.addr,
-                len: op.len as u64,
-                arrival: start,
-            });
+        for op in feed.traffic(model, f as u64, &[])? {
+            batch.push(transaction(&op, start));
             frame_bytes += op.len as u64;
         }
         let done = memory.submit_batch(&batch)?;
@@ -126,13 +103,7 @@ pub fn run_steady_state(
         bytes += frame_bytes;
         let access_time = memory.clock().time_of_cycles(start + access_cycles)
             - memory.clock().time_of_cycles(start);
-        let verdict = if access_cycles > budget_cycles {
-            RealTimeVerdict::Fails
-        } else if access_cycles as f64 > budget_cycles as f64 * (1.0 - exp.margin) {
-            RealTimeVerdict::Marginal
-        } else {
-            RealTimeVerdict::Meets
-        };
+        let verdict = feed.judge(access_cycles, budget_cycles);
         if let Some(rec) = &recorder {
             let start_ps = memory.clock().time_of_cycles(start).as_ps();
             rec.record_span("frame", None, start_ps, start_ps + access_time.as_ps());

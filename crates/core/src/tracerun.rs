@@ -1,13 +1,13 @@
 //! Trace-driven execution: replay a recorded operation stream against any
 //! memory configuration, independent of the video use case.
 
-use mcm_channel::{MasterTransaction, MemoryConfig, MemorySubsystem};
-use mcm_ctrl::AccessOp;
+use mcm_channel::{MemoryConfig, MemorySubsystem};
 use mcm_load::LoadOp;
 use mcm_power::{InterfacePowerModel, PowerSummary};
 use mcm_sim::SimTime;
 
 use crate::error::CoreError;
+use crate::feed::transaction;
 
 /// Result of a trace replay.
 #[derive(Debug, Clone)]
@@ -25,6 +25,8 @@ pub struct TraceRunResult {
 }
 
 /// Replays `ops` (greedy arrivals) against a memory built from `config`.
+/// To replay at most an experiment's op budget, cap the stream with
+/// [`FrameFeed::cap`](crate::FrameFeed::cap) first.
 pub fn run_trace(
     config: &MemoryConfig,
     ops: impl IntoIterator<Item = LoadOp>,
@@ -34,16 +36,7 @@ pub fn run_trace(
     let mut bytes = 0u64;
     let mut count = 0u64;
     for op in ops {
-        memory.submit(MasterTransaction {
-            op: if op.write {
-                AccessOp::Write
-            } else {
-                AccessOp::Read
-            },
-            addr: op.addr,
-            len: op.len as u64,
-            arrival: 0,
-        })?;
+        memory.submit(transaction(&op, 0))?;
         bytes += op.len as u64;
         count += 1;
     }

@@ -9,7 +9,7 @@
 //! controller bugs cannot silently produce impossible schedules.
 
 use mcm_obs::{ChannelObs, CommandKind};
-use mcm_sim::{Frequency, SimTime};
+use mcm_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::bank::Bank;
@@ -848,11 +848,6 @@ impl BankCluster {
     /// Wall-clock time of a cycle index on this device's interface clock.
     pub fn time_of_cycle(&self, cycle: u64) -> SimTime {
         self.timing.clock.time_of_cycles(cycle)
-    }
-
-    /// The interface clock frequency.
-    pub fn clock_frequency(&self) -> Frequency {
-        self.timing.clock.frequency()
     }
 
     /// Reports the background-energy interval `close_traced` just closed,

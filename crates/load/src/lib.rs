@@ -15,7 +15,7 @@
 //!   traffic model;
 //! * [`FrameLayout`] — the buffers' placement in the address space;
 //! * [`FrameTraffic`] / [`LoadOp`] — the state machine emitting one frame's
-//!   memory operations;
+//!   memory operations, and [`Capped`], the op budget of a quick run;
 //! * [`LoadModel`] / [`Workload`] — the pluggable workload-model trait and
 //!   the named catalogue built on it (Table I H.264, HEVC/VVC profiles, a
 //!   seed-deterministic stochastic generator, multi-tenant contention).
@@ -57,6 +57,6 @@ pub use model::{
 };
 pub use stages::{Stage, StageTraffic};
 pub use tracefile::{read_trace, write_trace, TRACE_HEADER};
-pub use traffic::{FrameTraffic, LoadOp};
+pub use traffic::{Capped, FrameTraffic, LoadOp};
 pub use usecase::{RefFrames, TableRow, UseCase, UseCaseMode};
 pub use workload::{CodecProfile, StochasticParams, Workload, DEFAULT_BURSTINESS_PCT, MAX_TENANTS};

@@ -30,6 +30,43 @@ pub struct LoadOp {
     pub len: u32,
 }
 
+/// An operation stream that ends after at most a fixed number of
+/// operations: the op budget of a quick run. The wrapped stream stays
+/// reachable through [`Capped::uncapped`], so its planning queries (total
+/// bytes, current stage, tenant spans) still describe the whole frame.
+#[derive(Debug, Clone)]
+pub struct Capped<I> {
+    ops: I,
+    remaining: u64,
+}
+
+impl<I> Capped<I> {
+    /// Caps `ops` at `limit` operations; `None` passes every operation.
+    pub fn new(ops: I, limit: Option<u64>) -> Self {
+        Capped {
+            ops,
+            remaining: limit.unwrap_or(u64::MAX),
+        }
+    }
+
+    /// The stream without the cap.
+    pub fn uncapped(&self) -> &I {
+        &self.ops
+    }
+}
+
+impl<I: Iterator> Iterator for Capped<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        self.ops.next()
+    }
+}
+
 /// A single sequential (possibly wrapping) access stream within a stage.
 #[derive(Debug, Clone)]
 struct StreamPlan {
@@ -310,6 +347,16 @@ mod tests {
         let planned = t.total_bytes();
         let emitted: u64 = t.map(|op| op.len as u64).sum();
         assert_eq!(emitted, planned);
+    }
+
+    #[test]
+    fn capped_stream_is_a_prefix_that_still_plans_the_frame() {
+        let full: Vec<LoadOp> = traffic(64).collect();
+        let capped = Capped::new(traffic(64), Some(10));
+        assert_eq!(capped.uncapped().total_bytes(), traffic(64).total_bytes());
+        assert_eq!(capped.collect::<Vec<_>>(), full[..10]);
+        assert_eq!(Capped::new(traffic(64), Some(0)).count(), 0);
+        assert_eq!(Capped::new(traffic(64), None).count(), full.len());
     }
 
     #[test]

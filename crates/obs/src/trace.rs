@@ -25,13 +25,6 @@ pub struct SpanEvent {
     pub end_ps: u64,
 }
 
-impl SpanEvent {
-    /// Span duration in picoseconds.
-    pub fn duration_ps(&self) -> u64 {
-        self.end_ps.saturating_sub(self.start_ps)
-    }
-}
-
 /// Track id used for spans with no channel (`channel: None`).
 pub const MASTER_TID: u64 = 0;
 

@@ -558,7 +558,9 @@ fn parse_run_options(body: &serde::Value) -> Result<RunOptions, String> {
                 run.verify = v.as_bool().ok_or("`run.verify` must be a boolean")?;
             }
             "frames" => {
-                run.frames = v.as_u64().ok_or("`run.frames` must be a number")? as u32;
+                let n = v.as_u64().ok_or("`run.frames` must be a number")?;
+                run.frames =
+                    u32::try_from(n).map_err(|_| format!("`run.frames` = {n} is out of range"))?;
             }
             "op_limit" => {
                 run.op_limit = Some(v.as_u64().ok_or("`run.op_limit` must be a number")?);
@@ -714,5 +716,13 @@ mod tests {
         assert_eq!(run.op_limit, Some(500));
         let e = parse_run_options(&serde_json::json!({ "run": { "verfy": true } })).unwrap_err();
         assert!(e.contains("unknown run option"), "{e}");
+    }
+
+    #[test]
+    fn frame_counts_past_u32_are_refused_not_truncated() {
+        // 2^32 + 1 would read as 1 frame if narrowed with `as`.
+        let e = parse_run_options(&serde_json::json!({ "run": { "frames": 4_294_967_297u64 } }))
+            .unwrap_err();
+        assert!(e.contains("`run.frames`"), "{e}");
     }
 }

@@ -160,6 +160,7 @@ fn health_routing_and_refusals() {
     // name the key, not silent defaults.
     for (path, body, key) in [
         ("/runs", r#"{"run": {"verfy": true}}"#, "verfy"),
+        ("/runs", r#"{"run": {"frames": 4294967297}}"#, "run.frames"),
         (
             "/runs",
             r#"{"run": {"execution": "memoized"}}"#,

@@ -88,22 +88,6 @@ impl<'a, M> Ctx<'a, M> {
         self.self_id
     }
 
-    /// Schedules `msg` for delivery to `to` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time: events may not be
-    /// scheduled in the past.
-    pub fn send_at(&mut self, at: SimTime, to: ComponentId, msg: M) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: now={}, at={}",
-            self.now,
-            at
-        );
-        self.outbox.push((at, to, msg));
-    }
-
     /// Schedules `msg` for delivery to `to` after `delay`.
     pub fn send_after(&mut self, delay: SimTime, to: ComponentId, msg: M) {
         self.outbox.push((self.now + delay, to, msg));

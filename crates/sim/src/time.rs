@@ -212,12 +212,6 @@ impl Frequency {
         Frequency(hz)
     }
 
-    /// Creates a frequency from kilohertz.
-    #[inline]
-    pub const fn from_khz(khz: u64) -> Self {
-        Frequency(khz * 1_000)
-    }
-
     /// Creates a frequency from megahertz.
     #[inline]
     pub const fn from_mhz(mhz: u64) -> Self {
@@ -234,12 +228,6 @@ impl Frequency {
     #[inline]
     pub const fn as_hz(self) -> u64 {
         self.0
-    }
-
-    /// Frequency in megahertz (lossy).
-    #[inline]
-    pub fn as_mhz_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Nominal clock period, rounded to the nearest picosecond.

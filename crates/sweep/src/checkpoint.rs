@@ -63,7 +63,9 @@ impl Header {
         let key_schema = v
             .get("key_schema")
             .and_then(|k| k.as_u64())
-            .ok_or("header has no `key_schema`")? as u32;
+            .ok_or("header has no `key_schema`")?;
+        let key_schema = u32::try_from(key_schema)
+            .map_err(|_| format!("header `key_schema` = {key_schema} is out of range"))?;
         let total = v
             .get("total")
             .and_then(|t| t.as_u64())
@@ -345,6 +347,21 @@ mod tests {
         let back = CheckpointLog::attach(&path, &spec(), true).unwrap();
         assert_eq!(back.len(), 1, "the torn point re-simulates");
         assert!(back.lookup(0x1).is_some());
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn out_of_range_key_schemas_are_refused_not_truncated() {
+        let path = tmp_log("schema");
+        CheckpointLog::attach(&path, &spec(), false).unwrap();
+        // 2^32 + 1 would read as schema 1, this build's, if narrowed with `as`.
+        let text = fs::read_to_string(&path).unwrap();
+        let forged = text.replacen("\"key_schema\":1", "\"key_schema\":4294967297", 1);
+        assert_ne!(forged, text, "header layout changed: {text}");
+        fs::write(&path, forged).unwrap();
+        let e = CheckpointLog::attach(&path, &spec(), true).unwrap_err();
+        assert!(matches!(e, SweepError::Checkpoint { .. }));
+        assert!(e.to_string().contains("`key_schema`"), "{e}");
         let _ = fs::remove_file(&path);
     }
 

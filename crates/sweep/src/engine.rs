@@ -69,19 +69,6 @@ impl SweepOptions {
         self
     }
 
-    /// Replaces the per-point [`RunOptions`] (builder style). Sweeps are
-    /// single-frame: `run.frames` must stay `1`.
-    pub fn with_run(mut self, run: RunOptions) -> Self {
-        self.run = run;
-        self
-    }
-
-    /// Enables per-point progress lines on stderr (builder style).
-    pub fn with_progress(mut self, progress: bool) -> Self {
-        self.progress = progress;
-        self
-    }
-
     /// Enables static pre-simulation pruning (builder style); see
     /// [`SweepOptions::prelint`].
     pub fn with_prelint(mut self, prelint: bool) -> Self {

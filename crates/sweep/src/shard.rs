@@ -129,12 +129,17 @@ impl ShardDoc {
             .ok_or_else(|| refuse("shard document has no `rows`".to_string()))?;
         let rows: Vec<ExportRow> =
             Deserialize::from_value(rows).map_err(|e| refuse(format!("unreadable rows: {e:?}")))?;
+        let key_schema = field("key_schema")?;
         Ok(ShardDoc {
             index: field("index")? as usize,
             of: field("of")? as usize,
             total: field("total")? as usize,
             spec_hash,
-            key_schema: field("key_schema")? as u32,
+            key_schema: u32::try_from(key_schema).map_err(|_| {
+                refuse(format!(
+                    "shard header `key_schema` = {key_schema} is out of range"
+                ))
+            })?,
             rows,
         })
     }
@@ -364,6 +369,23 @@ mod tests {
         assert!(e.to_string().contains("--shard"), "{e}");
         let e = merge_shards(&[("junk.json".to_string(), "nonsense".to_string())]).unwrap_err();
         assert!(matches!(e, SweepError::Shard { .. }));
+    }
+
+    #[test]
+    fn out_of_range_key_schemas_are_refused_not_truncated() {
+        let docs = shard_docs(2);
+        // 2^32 + 1 would read as schema 1, this build's, if narrowed with `as`.
+        let mut v: serde::Value = serde_json::from_str(&docs[1].1).unwrap();
+        if let serde::Value::Object(doc) = &mut v {
+            let Some(serde::Value::Object(mut shard)) = doc.remove("shard") else {
+                panic!("shard doc has no header");
+            };
+            shard.insert("key_schema", 4_294_967_297u64.to_value());
+            doc.insert("shard", serde::Value::Object(shard));
+        }
+        let forged = (docs[1].0.clone(), serde_json::to_string(&v).unwrap());
+        let e = merge_shards(&[docs[0].clone(), forged]).unwrap_err();
+        assert!(e.to_string().contains("`key_schema`"), "{e}");
     }
 
     #[test]

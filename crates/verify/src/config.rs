@@ -190,8 +190,8 @@ pub fn lint_feasibility(uc: &UseCase, mem: &MemoryConfig) -> Report {
         return report;
     }
     let demand = uc.table_row().bits_per_second() as f64 / 8.0;
-    let word = mem.controller.cluster.geometry.word_bytes() as f64;
-    let peak = mem.channels as f64 * word * 2.0 * mem.clock_mhz as f64 * 1e6;
+    let word = mem.controller.cluster.geometry.word_bytes();
+    let peak = mem.peak_bandwidth_bytes_per_s();
     let utilization = demand / peak;
     let describe = format!(
         "workload needs {:.1} MB/s of {:.1} MB/s peak ({} × {}-bit DDR at {} MHz): \
@@ -199,7 +199,7 @@ pub fn lint_feasibility(uc: &UseCase, mem: &MemoryConfig) -> Report {
         demand / 1e6,
         peak / 1e6,
         mem.channels,
-        word as u64 * 8,
+        word * 8,
         mem.clock_mhz,
         utilization * 100.0
     );
