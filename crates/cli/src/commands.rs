@@ -4,23 +4,26 @@ use mcm_channel::MemorySubsystem;
 use mcm_core::feed::transaction;
 use mcm_core::{analysis, figures, CoreError, Experiment, Pacing};
 use mcm_load::UseCase;
-use mcm_sweep::ParallelRunner;
+use mcm_sweep::RayonExecutor;
 
 use crate::args::{
     CliError, Command, ExecutorArg, FaultArgs, OutputFormat, ReportArgs, RunOptions, ServeArgs,
     SweepArgs, USAGE,
 };
 
-/// The experiment the run options describe. Channel count and clock are
-/// validated first, as typed errors; the other flags are applied after, so
-/// `mcm lint` and `mcm check` can still report what is wrong with them.
+/// The experiment the run options describe. Channel count, clock and op
+/// budget are validated first, as typed errors; the other flags are
+/// applied after, so `mcm lint` and `mcm check` can still report what is
+/// wrong with them.
 fn build_experiment(o: &RunOptions) -> Result<Experiment, CliError> {
-    let mut exp = Experiment::builder()
+    let mut builder = Experiment::builder()
         .point(o.point)
         .channels(o.channels)
-        .clock_mhz(o.clock_mhz)
-        .build()
-        .map_err(|e| CliError(e.to_string()))?;
+        .clock_mhz(o.clock_mhz);
+    if let Some(n) = o.op_limit {
+        builder = builder.op_limit(n);
+    }
+    let mut exp = builder.build().map_err(|e| CliError(e.to_string()))?;
     if o.viewfinder {
         exp.use_case = UseCase::viewfinder(o.point);
     }
@@ -31,9 +34,6 @@ fn build_experiment(o: &RunOptions) -> Result<Experiment, CliError> {
     exp.chunk = o.chunk;
     exp.pacing = o.pacing;
     exp.workload = o.workload;
-    if let Some(n) = o.op_limit {
-        exp.op_limit = Some(n);
-    }
     Ok(exp)
 }
 
@@ -292,27 +292,27 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             .map(|&c| figures::render_table2(c) + "\n")
             .collect()),
         Command::Fig3 => {
-            let d = figures::fig3_data_with(&ParallelRunner::new()).map_err(sim_err)?;
+            let d = figures::fig3_data_with(&RayonExecutor::default()).map_err(sim_err)?;
             Ok(figures::render_fig3_report(&d))
         }
         Command::Fig4 => {
-            let d = figures::format_grid_data_with(&ParallelRunner::new()).map_err(sim_err)?;
+            let d = figures::format_grid_data_with(&RayonExecutor::default()).map_err(sim_err)?;
             Ok(figures::render_fig4(&d))
         }
         Command::Fig5 => {
-            let d = figures::format_grid_data_with(&ParallelRunner::new()).map_err(sim_err)?;
+            let d = figures::format_grid_data_with(&RayonExecutor::default()).map_err(sim_err)?;
             Ok(figures::render_fig5_report(&d)
                 + "\nPaper anchors: 720p 150 mW (1ch) -> 205 mW (8ch); 1080p30 4ch 345 mW; \
                    2160p 8ch 1280 mW.\n")
         }
         Command::Xdr => {
-            let d = figures::xdr_data_with(&ParallelRunner::new()).map_err(sim_err)?;
+            let d = figures::xdr_data_with(&RayonExecutor::default()).map_err(sim_err)?;
             Ok(figures::render_xdr(&d)
                 + "\nPaper: \"similar bandwidth (25.0 GB/s) but power consumption \
                    from 4% to 25% of the XDR value\".\n")
         }
         Command::Repro { json, csv_dir } => {
-            let runner = ParallelRunner::new();
+            let runner = RayonExecutor::default();
             let t1 = figures::table1_data();
             let f3 = figures::fig3_data_with(&runner).map_err(sim_err)?;
             let grid = figures::format_grid_data_with(&runner).map_err(sim_err)?;
@@ -893,11 +893,15 @@ fn trace_run(o: &RunOptions, input: &str) -> Result<String, CliError> {
     let exp = build_experiment(o)?;
     let file =
         std::fs::File::open(input).map_err(|e| CliError(format!("cannot read '{input}': {e}")))?;
-    let ops = mcm_load::read_trace(std::io::BufReader::new(file))
-        .map_err(|e| CliError(format!("bad trace: {e}")))?;
-    let ops = exp.feed(exp.memory.capacity_bytes()).cap(ops.into_iter());
-    let r = mcm_core::tracerun::run_trace(&exp.memory, ops, &exp.interface)
-        .map_err(|e| CliError(format!("replay failed: {e}")))?;
+    // The cap stops the reader too: lines past the op budget are never read.
+    let ops = exp
+        .feed(exp.memory.capacity_bytes())
+        .cap(mcm_load::read_trace(std::io::BufReader::new(file)));
+    let r =
+        mcm_core::tracerun::run_trace(&exp.memory, ops, &exp.interface).map_err(|e| match e {
+            CoreError::Load(e) => CliError(format!("bad trace: {e}")),
+            e => CliError(format!("replay failed: {e}")),
+        })?;
     Ok(format!(
         "replayed {} ops ({:.1} MB) on {} ch @ {} MHz:\n  drain time {:.3} ms, {:.2} GB/s, {}\n",
         r.ops,
@@ -1611,6 +1615,21 @@ mod trace_cli_tests {
         let cmd = parse_args(["trace-run", "--op-limit", "5", "--in", path_s]).unwrap();
         let out = execute(&cmd).unwrap();
         assert!(out.starts_with("replayed 5 ops"), "{out}");
+
+        // The replay reads only its five ops: a malformed line 8 is never
+        // reached, while a longer replay stops there with its line number.
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[7] = "X 0x0 64";
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let out = execute(&cmd).unwrap();
+        assert!(out.starts_with("replayed 5 ops"), "{out}");
+        let cmd = parse_args(["trace-run", "--op-limit", "9", "--in", path_s]).unwrap();
+        let err = execute(&cmd).unwrap_err().to_string();
+        assert!(
+            err.starts_with("bad trace: ")
+                && err.contains("trace line 8: direction must be R or W"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -1658,6 +1677,21 @@ mod frame_feed_cli_tests {
                     "{args:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_zero_op_limit_is_refused_everywhere() {
+        let sweep: &[&str] = &["sweep", "--formats", "720p30", "--channels", "4"];
+        for command in RUN_OPTION_COMMANDS.iter().chain([&sweep]) {
+            let mut args = command.to_vec();
+            args.extend(["--op-limit", "0"]);
+            let err = execute(&parse_args(args.iter().copied()).unwrap()).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("bad experiment parameter: op limit must be at least one operation"),
+                "{args:?}: {err}"
+            );
         }
     }
 

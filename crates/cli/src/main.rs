@@ -1,5 +1,6 @@
 //! The `mcm` binary: see `mcm help`.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -13,8 +14,20 @@ fn main() -> ExitCode {
     };
     match mcm_cli::execute(&cmd) {
         Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match stdout
+                .write_all(out.as_bytes())
+                .and_then(|()| stdout.flush())
+            {
+                // A reader that closed early (`mcm … | head`) took all it
+                // wanted: that is a normal end, not a failure.
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("mcm: cannot write output: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(e) => {
             eprintln!("mcm: {e}");

@@ -4,7 +4,7 @@
 use mcm_load::HdOperatingPoint;
 
 use crate::error::CoreError;
-use crate::experiment::{Experiment, RealTimeVerdict};
+use crate::experiment::{Experiment, PointRecord, RealTimeVerdict};
 use crate::figures::{Fig3Data, CHANNELS};
 
 /// Average speedup from doubling the channel count, computed from a Fig. 3
@@ -55,19 +55,7 @@ pub fn min_channels_meeting(
     point: HdOperatingPoint,
     clock_mhz: u64,
 ) -> Result<Option<u32>, CoreError> {
-    for &ch in &CHANNELS {
-        let exp = Experiment::paper(point, ch, clock_mhz);
-        match exp
-            .run_with(&crate::RunOptions::default())
-            .and_then(|o| o.try_into_frame())
-        {
-            Ok(r) if r.verdict == RealTimeVerdict::Meets => return Ok(Some(ch)),
-            Ok(_) => continue,
-            Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow { .. })) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(None)
+    fewest_channels(point, clock_mhz, |v| v == RealTimeVerdict::Meets)
 }
 
 /// The smallest evaluated channel count that at least marginally satisfies
@@ -76,16 +64,24 @@ pub fn min_channels_real_time(
     point: HdOperatingPoint,
     clock_mhz: u64,
 ) -> Result<Option<u32>, CoreError> {
+    fewest_channels(point, clock_mhz, RealTimeVerdict::is_real_time)
+}
+
+/// The smallest evaluated channel count whose verdict passes `ok`; counts
+/// whose frame buffers do not fit are skipped.
+fn fewest_channels(
+    point: HdOperatingPoint,
+    clock_mhz: u64,
+    ok: fn(RealTimeVerdict) -> bool,
+) -> Result<Option<u32>, CoreError> {
     for &ch in &CHANNELS {
         let exp = Experiment::paper(point, ch, clock_mhz);
-        match exp
-            .run_with(&crate::RunOptions::default())
-            .and_then(|o| o.try_into_frame())
-        {
-            Ok(r) if r.verdict.is_real_time() => return Ok(Some(ch)),
-            Ok(_) => continue,
-            Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow { .. })) => continue,
-            Err(e) => return Err(e),
+        let record = PointRecord::from_result(
+            exp.run_with(&crate::RunOptions::default())
+                .and_then(|o| o.try_into_frame()),
+        )?;
+        if record.real_time().is_some_and(ok) {
+            return Ok(Some(ch));
         }
     }
     Ok(None)
@@ -94,10 +90,9 @@ pub fn min_channels_real_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::Cell;
 
-    fn cell(ms: f64) -> Cell {
-        Cell::synthetic_for_tests(ms)
+    fn cell(ms: f64) -> PointRecord {
+        PointRecord::synthetic_for_tests(ms)
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn fig5_chart(d: &FormatGridData, point_index: usize) -> String {
         .map(|(ch, row)| {
             (
                 format!("{ch} ch"),
-                row[point_index].fig5_power_mw().unwrap_or(0.0),
+                row[point_index].reported_power_mw().unwrap_or(0.0),
             )
         })
         .collect();

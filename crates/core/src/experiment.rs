@@ -42,15 +42,20 @@ impl RealTimeVerdict {
     pub fn is_real_time(self) -> bool {
         !matches!(self, RealTimeVerdict::Fails)
     }
+
+    /// The verdict as the reports print it (`meets` / `MARGINAL` / `FAILS`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RealTimeVerdict::Meets => "meets",
+            RealTimeVerdict::Marginal => "MARGINAL",
+            RealTimeVerdict::Fails => "FAILS",
+        }
+    }
 }
 
 impl fmt::Display for RealTimeVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RealTimeVerdict::Meets => write!(f, "meets"),
-            RealTimeVerdict::Marginal => write!(f, "MARGINAL"),
-            RealTimeVerdict::Fails => write!(f, "FAILS"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -470,6 +475,9 @@ impl Experiment {
         if self.use_case.fps == 0 {
             return bad("use case fps must be non-zero".into());
         }
+        if self.op_limit == Some(0) {
+            return bad("op limit must be at least one operation".into());
+        }
         Ok(())
     }
 
@@ -499,7 +507,15 @@ impl Experiment {
         model: &dyn LoadModel,
         options: &RunOptions,
     ) -> Result<RunOutcome, CoreError> {
-        self.validate()?;
+        // The op budget override is validated with the experiment it caps.
+        let exp = if options.op_limit.is_some() {
+            let mut e = self.clone();
+            e.op_limit = options.op_limit;
+            std::borrow::Cow::Owned(e)
+        } else {
+            std::borrow::Cow::Borrowed(self)
+        };
+        exp.validate()?;
         model.validate()?;
         if options.frames == 0 {
             return Err(CoreError::BadParam {
@@ -524,13 +540,6 @@ impl Experiment {
                     .into(),
             });
         }
-        let exp = if options.op_limit.is_some() {
-            let mut e = self.clone();
-            e.op_limit = options.op_limit;
-            std::borrow::Cow::Owned(e)
-        } else {
-            std::borrow::Cow::Borrowed(self)
-        };
         if options.frames > 1 {
             return crate::steady::run_steady_state(
                 &exp,
@@ -933,6 +942,144 @@ impl fmt::Display for FrameResult {
             self.power,
             self.efficiency() * 100.0
         )
+    }
+}
+
+/// The distilled, serializable result of one run: what a figure cell, a
+/// sweep point, a cache entry and a service job all hold.
+///
+/// This is deliberately *not* the full [`FrameResult`] (whose subsystem
+/// report is an open-ended simulation artifact): it is the stable set of
+/// metrics the paper's figures and this repo's ablations consume, so cache
+/// entries survive refactors of the simulator internals.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PointRecord {
+    /// Whether the frame buffers fit the configuration at all.
+    pub feasible: bool,
+    /// Why not, when infeasible.
+    pub infeasible_reason: Option<String>,
+    /// Frame access time, ms (feasible points only).
+    pub access_ms: Option<f64>,
+    /// Real-time budget, ms.
+    pub budget_ms: Option<f64>,
+    /// Real-time verdict (`meets` / `MARGINAL` / `FAILS`).
+    pub verdict: Option<String>,
+    /// Average DRAM core power, mW.
+    pub core_mw: Option<f64>,
+    /// Interface power (equation (1)), mW.
+    pub interface_mw: Option<f64>,
+    /// Bus efficiency (achieved ÷ peak bandwidth).
+    pub efficiency: Option<f64>,
+    /// Energy per transferred bit, pJ.
+    pub energy_per_bit_pj: Option<f64>,
+    /// Worst per-channel p99 request latency, ns (when channels report it).
+    pub latency_p99_ns: Option<f64>,
+    /// Bytes the full frame moves.
+    pub planned_bytes: u64,
+    /// Bytes actually simulated (smaller only under an op limit).
+    pub simulated_bytes: u64,
+    /// Theoretical peak bandwidth, Gbyte/s.
+    pub peak_gbytes_per_s: f64,
+}
+
+impl PointRecord {
+    /// Distills a run result, folding capacity overflows into infeasible
+    /// records the same way the paper's figures drop such bars (a 2160p
+    /// frame simply does not fit one or two 512 Mb channels). Any other
+    /// error passes through.
+    pub fn from_result(result: Result<FrameResult, CoreError>) -> Result<PointRecord, CoreError> {
+        match result {
+            Ok(r) => Ok(PointRecord {
+                feasible: true,
+                infeasible_reason: None,
+                access_ms: Some(r.access_time.as_ms_f64()),
+                budget_ms: Some(r.frame_budget.as_ms_f64()),
+                verdict: Some(r.verdict.to_string()),
+                core_mw: Some(r.power.core_mw),
+                interface_mw: Some(r.power.interface_mw),
+                efficiency: Some(r.efficiency()),
+                energy_per_bit_pj: Some(r.energy_per_bit_pj()),
+                latency_p99_ns: r
+                    .report
+                    .channels
+                    .iter()
+                    .filter_map(|c| c.latency_p99)
+                    .max()
+                    .map(|t| t.as_ns_f64()),
+                planned_bytes: r.planned_bytes,
+                simulated_bytes: r.simulated_bytes,
+                peak_gbytes_per_s: r.peak_bandwidth_bytes_per_s / 1e9,
+            }),
+            Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow { needed, capacity })) => {
+                Ok(PointRecord::infeasible(format!(
+                    "frame buffers need {} MiB, capacity is {} MiB",
+                    needed >> 20,
+                    capacity >> 20
+                )))
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// An infeasible record: `reason` and no metrics.
+    pub fn infeasible(reason: String) -> PointRecord {
+        PointRecord {
+            feasible: false,
+            infeasible_reason: Some(reason),
+            access_ms: None,
+            budget_ms: None,
+            verdict: None,
+            core_mw: None,
+            interface_mw: None,
+            efficiency: None,
+            energy_per_bit_pj: None,
+            latency_p99_ns: None,
+            planned_bytes: 0,
+            simulated_bytes: 0,
+            peak_gbytes_per_s: 0.0,
+        }
+    }
+
+    /// The real-time verdict, for feasible points.
+    pub fn real_time(&self) -> Option<RealTimeVerdict> {
+        let verdict = self.verdict.as_deref()?;
+        [
+            RealTimeVerdict::Meets,
+            RealTimeVerdict::Marginal,
+            RealTimeVerdict::Fails,
+        ]
+        .into_iter()
+        .find(|v| v.as_str() == verdict)
+    }
+
+    /// Total power (core + interface), mW, for feasible points.
+    pub fn total_mw(&self) -> Option<f64> {
+        Some(self.core_mw? + self.interface_mw?)
+    }
+
+    /// The Fig. 5 convention of [`FrameResult::reported_power_mw`]: total
+    /// power, or `None` (suppressed bar) when the point misses real time
+    /// or cannot run at all.
+    pub fn reported_power_mw(&self) -> Option<f64> {
+        if self.real_time()?.is_real_time() {
+            self.total_mw()
+        } else {
+            None
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn synthetic_for_tests(access_ms: f64) -> PointRecord {
+        PointRecord {
+            feasible: true,
+            infeasible_reason: None,
+            access_ms: Some(access_ms),
+            verdict: Some("meets".into()),
+            core_mw: Some(100.0),
+            interface_mw: Some(4.0),
+            efficiency: Some(0.75),
+            ..PointRecord::infeasible(String::new())
+        }
     }
 }
 
@@ -1454,17 +1601,23 @@ mod nan_audit_tests {
     }
 
     #[test]
-    fn zero_op_limit_run_is_nan_free() {
+    fn zero_op_limit_is_refused() {
+        // A run of no operations has no access time to judge: refused as
+        // a bad parameter, whether the experiment or the run options carry
+        // the zero budget.
         let mut e = Experiment::paper(HdOperatingPoint::Hd720p30, 2, 400);
+        let zero = RunOptions::default().with_op_limit(0);
+        let refused = |r: Result<RunOutcome, CoreError>| match r {
+            Err(CoreError::BadParam { reason }) => assert!(reason.contains("op limit"), "{reason}"),
+            other => panic!("zero op limit was not refused: {other:?}"),
+        };
+        refused(e.run_with(&zero));
         e.op_limit = Some(0);
-        let r = e
-            .run_with(&RunOptions::default())
-            .unwrap()
-            .into_frame()
-            .unwrap();
-        assert_eq!(r.simulated_bytes, 0);
-        assert!(r.efficiency().is_finite());
-        assert!(r.energy_per_bit_pj().is_finite());
+        refused(e.run_with(&RunOptions::default()));
+        assert!(e.validate().is_err());
+        assert!(Experiment::builder().op_limit(0).build().is_err());
+        // Any positive budget overrides the zero one and runs.
+        e.run_with(&RunOptions::default().with_op_limit(1)).unwrap();
     }
 }
 

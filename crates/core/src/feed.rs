@@ -89,9 +89,9 @@ impl FrameFeed<'_> {
         Ok(self.cap(traffic))
     }
 
-    /// Cuts `ops` at the experiment's op budget
-    /// ([`Experiment::op_limit`]).
-    pub fn cap<I: Iterator<Item = LoadOp>>(&self, ops: I) -> Capped<I> {
+    /// Cuts `ops` (operations, or fallible reads of them) at the
+    /// experiment's op budget ([`Experiment::op_limit`]).
+    pub fn cap<I: Iterator>(&self, ops: I) -> Capped<I> {
         Capped::new(ops, self.exp.op_limit)
     }
 

@@ -12,7 +12,7 @@ use mcm_load::{HdOperatingPoint, Stage, UseCase};
 use mcm_power::XdrReference;
 
 use crate::error::CoreError;
-use crate::experiment::{Experiment, FrameResult, RealTimeVerdict};
+use crate::experiment::{Experiment, PointRecord, RealTimeVerdict};
 use crate::runner::BatchRunner;
 use crate::{analysis, charts};
 
@@ -26,97 +26,6 @@ pub const CHANNELS: [u32; 4] = [1, 2, 4, 8];
 /// The Fig. 4/5 clock frequency.
 pub const FIG45_CLOCK_MHZ: u64 = 400;
 
-/// One simulated grid cell, distilled for serialization and rendering.
-#[derive(Debug, Clone, Serialize)]
-pub struct Cell {
-    /// Whether the configuration could be built and hold the frame buffers.
-    pub feasible: bool,
-    /// Access time for one frame, ms (when feasible).
-    pub access_ms: Option<f64>,
-    /// Real-time verdict (when feasible).
-    pub verdict: Option<String>,
-    /// Average DRAM core power over the frame period, mW.
-    pub core_mw: Option<f64>,
-    /// Interface power (equation 1), mW.
-    pub interface_mw: Option<f64>,
-    /// Bus efficiency (achieved / peak bandwidth).
-    pub efficiency: Option<f64>,
-    /// Why the cell is infeasible, if it is.
-    pub infeasible_reason: Option<String>,
-    marginal: bool,
-    fails: bool,
-}
-
-impl Cell {
-    /// Distills one run result (e.g. out of a [`BatchRunner`] batch) into a
-    /// cell, folding capacity overflows into infeasible cells the way the
-    /// paper's figures drop such bars.
-    pub fn from_result(result: Result<FrameResult, CoreError>) -> Result<Cell, CoreError> {
-        match result {
-            Ok(r) => Ok(Cell {
-                feasible: true,
-                access_ms: Some(r.access_time.as_ms_f64()),
-                verdict: Some(r.verdict.to_string()),
-                core_mw: Some(r.power.core_mw),
-                interface_mw: Some(r.power.interface_mw),
-                efficiency: Some(r.efficiency()),
-                infeasible_reason: None,
-                marginal: r.verdict == RealTimeVerdict::Marginal,
-                fails: r.verdict == RealTimeVerdict::Fails,
-            }),
-            // A 2160p frame simply does not fit in one or two 512 Mb
-            // channels; the paper's figures leave such bars out too.
-            Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow { needed, capacity })) => {
-                Ok(Cell {
-                    feasible: false,
-                    access_ms: None,
-                    verdict: None,
-                    core_mw: None,
-                    interface_mw: None,
-                    efficiency: None,
-                    infeasible_reason: Some(format!(
-                        "frame buffers need {} MiB, capacity is {} MiB",
-                        needed >> 20,
-                        capacity >> 20
-                    )),
-                    marginal: false,
-                    fails: true,
-                })
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn synthetic_for_tests(access_ms: f64) -> Cell {
-        Cell {
-            feasible: true,
-            access_ms: Some(access_ms),
-            verdict: Some("meets".into()),
-            core_mw: Some(100.0),
-            interface_mw: Some(4.0),
-            efficiency: Some(0.75),
-            infeasible_reason: None,
-            marginal: false,
-            fails: false,
-        }
-    }
-
-    /// The Fig. 5 bar value: total power, suppressed (None) when the
-    /// configuration misses real time with the margin.
-    pub fn fig5_power_mw(&self) -> Option<f64> {
-        if self.fails {
-            return None;
-        }
-        Some(self.core_mw? + self.interface_mw?)
-    }
-
-    /// Whether the cell would carry the paper's MARGINAL annotation.
-    pub fn is_marginal(&self) -> bool {
-        self.marginal
-    }
-}
-
 /// Fig. 3: access time vs. interface clock for the 720p30 load.
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig3Data {
@@ -125,14 +34,38 @@ pub struct Fig3Data {
     /// Channel counts (rows).
     pub channels: Vec<u32>,
     /// `cells[row][col]`.
-    pub cells: Vec<Vec<Cell>>,
+    pub cells: Vec<Vec<PointRecord>>,
     /// The 30 fps real-time requirement, ms.
     pub realtime_ms: f64,
 }
 
+/// Runs a row-major grid of experiments as one batch on `runner` and cuts
+/// the records, in input order, into rows of `cols` (the first error
+/// aborts the figure).
+fn run_grid(
+    runner: &dyn BatchRunner,
+    experiments: &[Experiment],
+    cols: usize,
+) -> Result<Vec<Vec<PointRecord>>, CoreError> {
+    let records = runner
+        .run_batch(experiments)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    if records.len() != experiments.len() {
+        return Err(CoreError::BadParam {
+            reason: format!(
+                "figure batch returned {} results for {} experiments",
+                records.len(),
+                experiments.len()
+            ),
+        });
+    }
+    Ok(records.chunks(cols).map(<[PointRecord]>::to_vec).collect())
+}
+
 /// Runs the Fig. 3 grid, one 720p30 frame per (channel count, clock), on a
-/// caller-chosen executor (e.g. `mcm-sweep`'s parallel, cached runner).
-/// The grid is submitted as one batch in row-major order.
+/// caller-chosen runner (e.g. `mcm-sweep`'s executor). The grid is
+/// submitted as one batch in row-major order.
 pub fn fig3_data_with(runner: &dyn BatchRunner) -> Result<Fig3Data, CoreError> {
     let experiments: Vec<Experiment> = CHANNELS
         .iter()
@@ -142,24 +75,10 @@ pub fn fig3_data_with(runner: &dyn BatchRunner) -> Result<Fig3Data, CoreError> {
                 .map(move |&clk| Experiment::paper(HdOperatingPoint::Hd720p30, ch, clk))
         })
         .collect();
-    let mut results = runner.run_batch(&experiments).into_iter();
-    let mut cells = Vec::new();
-    for _ in &CHANNELS {
-        let mut row = Vec::new();
-        for _ in &FIG3_CLOCKS_MHZ {
-            let Some(result) = results.next() else {
-                return Err(CoreError::BadParam {
-                    reason: "figure batch returned fewer results than its grid".into(),
-                });
-            };
-            row.push(Cell::from_result(result)?);
-        }
-        cells.push(row);
-    }
     Ok(Fig3Data {
         clocks_mhz: FIG3_CLOCKS_MHZ.to_vec(),
         channels: CHANNELS.to_vec(),
-        cells,
+        cells: run_grid(runner, &experiments, FIG3_CLOCKS_MHZ.len())?,
         realtime_ms: 1000.0 / 30.0,
     })
 }
@@ -208,11 +127,11 @@ pub struct FormatGridData {
     /// Channel counts (rows).
     pub channels: Vec<u32>,
     /// `cells[row][col]`.
-    pub cells: Vec<Vec<Cell>>,
+    pub cells: Vec<Vec<PointRecord>>,
 }
 
-/// Runs the Fig. 4/Fig. 5 grid at 400 MHz on a caller-chosen executor;
-/// one batch, row-major.
+/// Runs the Fig. 4/Fig. 5 grid at 400 MHz on a caller-chosen runner; one
+/// batch, row-major.
 pub fn format_grid_data_with(runner: &dyn BatchRunner) -> Result<FormatGridData, CoreError> {
     let experiments: Vec<Experiment> = CHANNELS
         .iter()
@@ -222,27 +141,13 @@ pub fn format_grid_data_with(runner: &dyn BatchRunner) -> Result<FormatGridData,
                 .map(move |&p| Experiment::paper(p, ch, FIG45_CLOCK_MHZ))
         })
         .collect();
-    let mut results = runner.run_batch(&experiments).into_iter();
-    let mut cells = Vec::new();
-    for _ in &CHANNELS {
-        let mut row = Vec::new();
-        for _ in HdOperatingPoint::ALL {
-            let Some(result) = results.next() else {
-                return Err(CoreError::BadParam {
-                    reason: "figure batch returned fewer results than its grid".into(),
-                });
-            };
-            row.push(Cell::from_result(result)?);
-        }
-        cells.push(row);
-    }
     Ok(FormatGridData {
         points: HdOperatingPoint::ALL
             .iter()
             .map(|p| p.to_string())
             .collect(),
         channels: CHANNELS.to_vec(),
-        cells,
+        cells: run_grid(runner, &experiments, HdOperatingPoint::ALL.len())?,
     })
 }
 
@@ -295,9 +200,13 @@ pub fn render_fig5(d: &FormatGridData) -> String {
     for (i, ch) in d.channels.iter().enumerate() {
         out.push_str(&format!("  {ch:>8} |"));
         for cell in &d.cells[i] {
-            let text = match cell.fig5_power_mw() {
+            let text = match cell.reported_power_mw() {
                 Some(mw) => {
-                    let tag = if cell.is_marginal() { " MARGINAL" } else { "" };
+                    let tag = if cell.real_time() == Some(RealTimeVerdict::Marginal) {
+                        " MARGINAL"
+                    } else {
+                        ""
+                    };
                     format!(
                         "{:.0} (if {:.0}){tag}",
                         mw,
@@ -325,8 +234,8 @@ pub struct XdrComparison {
     pub rows: Vec<(String, f64, f64)>,
 }
 
-/// Runs the XDR comparison over all feasible formats at 8 × 400 MHz on a
-/// caller-chosen executor.
+/// Runs the XDR comparison over all formats at 8 × 400 MHz on a
+/// caller-chosen runner; every format must fit the eight channels.
 pub fn xdr_data_with(runner: &dyn BatchRunner) -> Result<XdrComparison, CoreError> {
     let xdr = XdrReference::cell_be();
     let experiments: Vec<Experiment> = HdOperatingPoint::ALL
@@ -335,17 +244,21 @@ pub fn xdr_data_with(runner: &dyn BatchRunner) -> Result<XdrComparison, CoreErro
         .collect();
     let mut rows = Vec::new();
     let mut peak = 0.0;
-    for (p, result) in HdOperatingPoint::ALL
-        .iter()
-        .zip(runner.run_batch(&experiments))
-    {
-        let r = result?;
-        peak = r.peak_bandwidth_bytes_per_s;
-        let mw = r.power.total_mw();
+    let records = run_grid(runner, &experiments, experiments.len())?.concat();
+    for (p, r) in HdOperatingPoint::ALL.iter().zip(records) {
+        let Some(mw) = r.total_mw() else {
+            return Err(CoreError::BadParam {
+                reason: format!(
+                    "{p} is infeasible on 8 channels: {}",
+                    r.infeasible_reason.unwrap_or_default()
+                ),
+            });
+        };
+        peak = r.peak_gbytes_per_s;
         rows.push((p.to_string(), mw, xdr.power_fraction(mw)));
     }
     Ok(XdrComparison {
-        peak_gbps: peak / 1e9,
+        peak_gbps: peak,
         xdr_gbps: xdr.bandwidth_bytes_per_s / 1e9,
         rows,
     })
@@ -584,17 +497,17 @@ pub fn render_repro(
     out += &format!("\nConclusions check — minimum channels at {FIG45_CLOCK_MHZ} MHz:\n");
     for (col, point) in grid.points.iter().enumerate() {
         // The fewest channels whose cell passes `ok` (rows ascend).
-        let fewest = |ok: fn(&Cell) -> bool| {
+        let fewest = |ok: fn(RealTimeVerdict) -> bool| {
             grid.channels
                 .iter()
                 .zip(&grid.cells)
-                .find(|(_, row)| ok(&row[col]))
+                .find(|(_, row)| row[col].real_time().is_some_and(ok))
                 .map_or("none".to_string(), |(ch, _)| format!("{ch} ch"))
         };
         out += &format!(
             "  {point}: {} (with margin: {})\n",
-            fewest(|c| !c.fails),
-            fewest(|c| !c.fails && !c.marginal)
+            fewest(RealTimeVerdict::is_real_time),
+            fewest(|v| v == RealTimeVerdict::Meets)
         );
     }
     out
@@ -637,28 +550,24 @@ mod tests {
     fn cell_from_infeasible_config_reports_reason() {
         // 2160p in one 64 MiB channel.
         let exp = Experiment::paper(HdOperatingPoint::Uhd2160p30, 1, 400);
-        let cell = Cell::from_result(
-            exp.run_with(&crate::RunOptions::default())
-                .map(|o| o.into_frame().expect("single-frame outcome")),
-        )
-        .unwrap();
+        let cell = &crate::SerialRunner.run_batch(&[exp])[0];
+        let cell = cell.as_ref().unwrap();
         assert!(!cell.feasible);
-        assert_eq!(cell.fig5_power_mw(), None);
-        assert!(cell.infeasible_reason.unwrap().contains("MiB"));
+        assert_eq!(cell.real_time(), None);
+        assert_eq!(cell.reported_power_mw(), None);
+        assert!(cell.infeasible_reason.as_ref().unwrap().contains("MiB"));
     }
 
     #[test]
     fn cell_from_quick_run() {
         let mut exp = Experiment::paper(HdOperatingPoint::Hd720p30, 4, 400);
         exp.op_limit = Some(20_000);
-        let cell = Cell::from_result(
-            exp.run_with(&crate::RunOptions::default())
-                .map(|o| o.into_frame().expect("single-frame outcome")),
-        )
-        .unwrap();
+        let cell = &crate::SerialRunner.run_batch(&[exp])[0];
+        let cell = cell.as_ref().unwrap();
         assert!(cell.feasible);
         assert!(cell.access_ms.unwrap() > 0.0);
-        assert!(cell.fig5_power_mw().is_some());
+        assert_eq!(cell.real_time(), Some(RealTimeVerdict::Meets));
+        assert_eq!(cell.reported_power_mw(), cell.total_mw());
     }
 
     #[test]
@@ -685,7 +594,7 @@ mod tests {
                 .iter()
                 .map(|row| {
                     row.iter()
-                        .map(|&ms| Cell::synthetic_for_tests(ms))
+                        .map(|&ms| PointRecord::synthetic_for_tests(ms))
                         .collect()
                 })
                 .collect(),
@@ -716,12 +625,12 @@ mod tests {
             channels: vec![1, 2],
             cells: vec![
                 vec![
-                    Cell::synthetic_for_tests(26.2),
-                    Cell::synthetic_for_tests(56.9),
+                    PointRecord::synthetic_for_tests(26.2),
+                    PointRecord::synthetic_for_tests(56.9),
                 ],
                 vec![
-                    Cell::synthetic_for_tests(13.1),
-                    Cell::synthetic_for_tests(28.5),
+                    PointRecord::synthetic_for_tests(13.1),
+                    PointRecord::synthetic_for_tests(28.5),
                 ],
             ],
         };
@@ -744,19 +653,17 @@ mod tests {
 
     #[test]
     fn repro_reads_the_conclusions_off_the_format_grid() {
-        let meets = Cell::synthetic_for_tests(20.0);
-        let marginal = Cell {
+        let meets = PointRecord::synthetic_for_tests(20.0);
+        let marginal = PointRecord {
             verdict: Some("MARGINAL".into()),
-            marginal: true,
-            ..Cell::synthetic_for_tests(30.0)
+            ..PointRecord::synthetic_for_tests(30.0)
         };
-        let fails = Cell {
+        let fails = PointRecord {
             verdict: Some("FAILS".into()),
-            fails: true,
-            ..Cell::synthetic_for_tests(40.0)
+            ..PointRecord::synthetic_for_tests(40.0)
         };
         let infeasible =
-            Cell::from_result(Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow {
+            PointRecord::from_result(Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow {
                 needed: 165 << 20,
                 capacity: 64 << 20,
             })))
@@ -841,12 +748,12 @@ mod tests {
             channels: vec![1, 2],
             cells: vec![
                 vec![
-                    Cell::synthetic_for_tests(46.9),
-                    Cell::synthetic_for_tests(26.2),
+                    PointRecord::synthetic_for_tests(46.9),
+                    PointRecord::synthetic_for_tests(26.2),
                 ],
                 vec![
-                    Cell::synthetic_for_tests(23.4),
-                    Cell::synthetic_for_tests(13.1),
+                    PointRecord::synthetic_for_tests(23.4),
+                    PointRecord::synthetic_for_tests(13.1),
                 ],
             ],
             realtime_ms: 33.3,

@@ -7,7 +7,8 @@
 //!   multi-channel memory configuration ([`mcm_channel`]), reporting
 //!   per-frame access time, the real-time verdict with the paper's 15 %
 //!   data-processing margin, and average power (DRAM core + equation (1)
-//!   interface power);
+//!   interface power), distilled to a [`PointRecord`] wherever results
+//!   are batched, cached or served;
 //! * [`feed`] — the one place every engine path takes its frame from: the
 //!   budget, the layout, the capped traffic and the real-time verdict;
 //! * [`figures`] — data builders and text renderers for Table I, Table II,
@@ -56,8 +57,8 @@ pub mod tracerun;
 pub use builder::ExperimentBuilder;
 pub use error::CoreError;
 pub use experiment::{
-    ChunkPolicy, Experiment, FrameResult, Pacing, RealTimeVerdict, RunOptions, RunOutcome,
-    TenantSummary,
+    ChunkPolicy, Experiment, FrameResult, Pacing, PointRecord, RealTimeVerdict, RunOptions,
+    RunOutcome, TenantSummary,
 };
 pub use feed::FrameFeed;
 pub use runner::{BatchRunner, SerialRunner};

@@ -4,17 +4,18 @@
 //! simulations; how those runs are scheduled (serially, on a thread pool,
 //! against a result cache…) is a policy the caller owns. [`BatchRunner`]
 //! is that seam: `mcm-core` ships the obvious [`SerialRunner`], and
-//! `mcm-sweep` plugs its parallel, cached engine into the same trait
-//! without `mcm-core` depending on it.
+//! `mcm-sweep`'s executor runs the same batch as one of its jobs without
+//! `mcm-core` depending on it.
 
 use crate::error::CoreError;
-use crate::experiment::{Experiment, FrameResult};
+use crate::experiment::{Experiment, PointRecord};
+use crate::RunOptions;
 
-/// Executes a batch of independent experiments, returning one result per
-/// experiment **in input order** regardless of execution order.
+/// Executes a batch of independent experiments, returning one distilled
+/// record per experiment **in input order** regardless of execution order.
 pub trait BatchRunner: Sync {
-    /// Runs every experiment and collects results in input order.
-    fn run_batch(&self, experiments: &[Experiment]) -> Vec<Result<FrameResult, CoreError>>;
+    /// Runs every experiment and collects records in input order.
+    fn run_batch(&self, experiments: &[Experiment]) -> Vec<Result<PointRecord, CoreError>>;
 }
 
 /// The trivial runner: one experiment after the other on the calling thread.
@@ -22,20 +23,19 @@ pub trait BatchRunner: Sync {
 pub struct SerialRunner;
 
 impl BatchRunner for SerialRunner {
-    fn run_batch(&self, experiments: &[Experiment]) -> Vec<Result<FrameResult, CoreError>> {
-        experiments.iter().map(run_isolated).collect()
+    fn run_batch(&self, experiments: &[Experiment]) -> Vec<Result<PointRecord, CoreError>> {
+        let run = RunOptions::default();
+        experiments.iter().map(|e| run_isolated(e, &run)).collect()
     }
 }
 
-/// Runs one experiment with panic isolation: a panicking model turns into
-/// [`CoreError::Panicked`] instead of unwinding into the caller, so one bad
-/// grid point cannot kill a whole batch.
-pub fn run_isolated(exp: &Experiment) -> Result<FrameResult, CoreError> {
-    let run = || {
-        exp.run_with(&crate::RunOptions::default())
-            .and_then(|o| o.try_into_frame())
-    };
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+/// Runs one single-frame experiment under `run` with panic isolation and
+/// distills it with [`PointRecord::from_result`]: a panicking model turns
+/// into [`CoreError::Panicked`] instead of unwinding into the caller, so
+/// one bad grid point cannot kill a whole batch.
+pub fn run_isolated(exp: &Experiment, run: &RunOptions) -> Result<PointRecord, CoreError> {
+    let attempt = || PointRecord::from_result(exp.run_with(run).and_then(|o| o.try_into_frame()));
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt)) {
         Ok(result) => result,
         Err(payload) => Err(CoreError::Panicked {
             message: panic_message(payload.as_ref()),
@@ -44,7 +44,7 @@ pub fn run_isolated(exp: &Experiment) -> Result<FrameResult, CoreError> {
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -69,12 +69,9 @@ mod tests {
         let exps = vec![mk(1), mk(2)];
         let batch = SerialRunner.run_batch(&exps);
         for (exp, got) in exps.iter().zip(&batch) {
-            let direct = exp
-                .run_with(&crate::RunOptions::default())
-                .unwrap()
-                .into_frame()
-                .unwrap();
-            assert_eq!(direct.access_time, got.as_ref().unwrap().access_time);
+            let direct = exp.run_with(&RunOptions::default()).unwrap().into_frame();
+            let direct = PointRecord::from_result(Ok(direct.unwrap())).unwrap();
+            assert_eq!(&direct, got.as_ref().unwrap());
         }
     }
 

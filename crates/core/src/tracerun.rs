@@ -2,7 +2,7 @@
 //! memory configuration, independent of the video use case.
 
 use mcm_channel::{MemoryConfig, MemorySubsystem};
-use mcm_load::LoadOp;
+use mcm_load::{LoadError, LoadOp};
 use mcm_power::{InterfacePowerModel, PowerSummary};
 use mcm_sim::SimTime;
 
@@ -24,18 +24,21 @@ pub struct TraceRunResult {
     pub bandwidth_bytes_per_s: f64,
 }
 
-/// Replays `ops` (greedy arrivals) against a memory built from `config`.
-/// To replay at most an experiment's op budget, cap the stream with
-/// [`FrameFeed::cap`](crate::FrameFeed::cap) first.
+/// Replays `ops` (greedy arrivals) against a memory built from `config`,
+/// stopping at the first op that failed to read with its
+/// [`CoreError::Load`] error. Pass [`mcm_load::read_trace`] to replay a
+/// trace file as it is read; to replay at most an experiment's op budget,
+/// cap the stream with [`FrameFeed::cap`](crate::FrameFeed::cap) first.
 pub fn run_trace(
     config: &MemoryConfig,
-    ops: impl IntoIterator<Item = LoadOp>,
+    ops: impl IntoIterator<Item = Result<LoadOp, LoadError>>,
     interface: &InterfacePowerModel,
 ) -> Result<TraceRunResult, CoreError> {
     let mut memory = MemorySubsystem::new(config)?;
     let mut bytes = 0u64;
     let mut count = 0u64;
     for op in ops {
+        let op = op?;
         memory.submit(transaction(&op, 0))?;
         bytes += op.len as u64;
         count += 1;
@@ -80,7 +83,7 @@ mod tests {
         ];
         let r = run_trace(
             &MemoryConfig::paper(2, 400),
-            ops,
+            ops.into_iter().map(Ok),
             &InterfacePowerModel::paper(),
         )
         .unwrap();
@@ -100,10 +103,23 @@ mod tests {
         }];
         let err = run_trace(
             &MemoryConfig::paper(1, 400),
-            ops,
+            ops.into_iter().map(Ok),
             &InterfacePowerModel::paper(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::Memory(_)));
+    }
+
+    #[test]
+    fn a_bad_read_stops_the_replay_with_its_error() {
+        let trace = "#mcm-trace v1\nR 0x0 64\nR 0x40 64\nQ 0x80 64\nR 0xc0 64\n";
+        let err = run_trace(
+            &MemoryConfig::paper(1, 400),
+            mcm_load::read_trace(trace.as_bytes()),
+            &InterfacePowerModel::paper(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CoreError::Load(_)), "{err}");
+        assert!(err.to_string().contains("trace line 4"), "{err}");
     }
 }

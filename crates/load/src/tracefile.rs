@@ -41,43 +41,47 @@ fn parse_addr(s: &str) -> Option<u64> {
     }
 }
 
-/// Reads a trace from `r`. Fails with a line-numbered error on malformed
-/// input.
-pub fn read_trace<R: BufRead>(r: R) -> Result<Vec<LoadOp>, LoadError> {
-    let mut ops = Vec::new();
-    for (idx, line) in r.lines().enumerate() {
-        let line = line.map_err(|e| LoadError::BadParam {
-            reason: format!("trace read error at line {}: {e}", idx + 1),
-        })?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let bad = |why: &str| LoadError::BadParam {
-            reason: format!("trace line {}: {why}: '{line}'", idx + 1),
-        };
-        let mut fields = line.split_whitespace();
-        let dir = fields.next().ok_or_else(|| bad("missing direction"))?;
-        let write = match dir {
-            "R" | "r" => false,
-            "W" | "w" => true,
-            _ => return Err(bad("direction must be R or W")),
-        };
-        let addr = fields
-            .next()
-            .and_then(parse_addr)
-            .ok_or_else(|| bad("bad address"))?;
-        let len: u32 = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .filter(|&l| l > 0)
-            .ok_or_else(|| bad("bad length"))?;
-        if fields.next().is_some() {
-            return Err(bad("trailing fields"));
-        }
-        ops.push(LoadOp { write, addr, len });
+/// Reads a trace from `r` lazily, one operation per `next()`: a capped
+/// replay stops at its cap and never parses a line past it. A malformed or
+/// unreadable line yields a line-numbered error.
+pub fn read_trace<R: BufRead>(r: R) -> impl Iterator<Item = Result<LoadOp, LoadError>> {
+    r.lines()
+        .enumerate()
+        .filter_map(|(idx, line)| parse_line(idx + 1, line).transpose())
+}
+
+/// One trace line: an operation, `None` for a blank or comment line.
+fn parse_line(number: usize, line: io::Result<String>) -> Result<Option<LoadOp>, LoadError> {
+    let line = line.map_err(|e| LoadError::BadParam {
+        reason: format!("trace read error at line {number}: {e}"),
+    })?;
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
     }
-    Ok(ops)
+    let bad = |why: &str| LoadError::BadParam {
+        reason: format!("trace line {number}: {why}: '{line}'"),
+    };
+    let mut fields = line.split_whitespace();
+    let dir = fields.next().ok_or_else(|| bad("missing direction"))?;
+    let write = match dir {
+        "R" | "r" => false,
+        "W" | "w" => true,
+        _ => return Err(bad("direction must be R or W")),
+    };
+    let addr = fields
+        .next()
+        .and_then(parse_addr)
+        .ok_or_else(|| bad("bad address"))?;
+    let len: u32 = fields
+        .next()
+        .and_then(|s| s.parse().ok())
+        .filter(|&l| l > 0)
+        .ok_or_else(|| bad("bad length"))?;
+    if fields.next().is_some() {
+        return Err(bad("trailing fields"));
+    }
+    Ok(Some(LoadOp { write, addr, len }))
 }
 
 #[cfg(test)]
@@ -113,7 +117,7 @@ mod tests {
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.starts_with(TRACE_HEADER));
         assert!(text.contains("R 0x1000 64"));
-        let back = read_trace(&buf[..]).unwrap();
+        let back: Vec<LoadOp> = read_trace(&buf[..]).collect::<Result<_, _>>().unwrap();
         assert_eq!(back, ops);
     }
 
@@ -127,7 +131,8 @@ mod tests {
             .collect();
         let mut buf = Vec::new();
         write_trace(ops.iter().copied(), &mut buf).unwrap();
-        assert_eq!(read_trace(&buf[..]).unwrap(), ops);
+        let back: Result<Vec<LoadOp>, _> = read_trace(&buf[..]).collect();
+        assert_eq!(back.unwrap(), ops);
     }
 
     #[test]
@@ -139,7 +144,9 @@ mod tests {
 r 100 4
 w 0X200 8
 ";
-        let ops = read_trace(input.as_bytes()).unwrap();
+        let ops: Vec<LoadOp> = read_trace(input.as_bytes())
+            .collect::<Result<_, _>>()
+            .unwrap();
         assert_eq!(
             ops,
             vec![
@@ -166,10 +173,30 @@ w 0X200 8
             ("R 0x0", "bad length"),
             ("R 0x0 4 extra", "trailing"),
         ] {
-            let err = read_trace(input.as_bytes()).unwrap_err();
+            let err = read_trace(input.as_bytes()).next().unwrap().unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains("line 1"), "{msg}");
             assert!(msg.contains(needle), "{msg} should mention {needle}");
         }
+    }
+
+    #[test]
+    fn reading_is_lazy_and_stops_where_the_caller_stops() {
+        let text = "#mcm-trace v1\nR 0x0 64\n# note\n\nW 0x40 64\nR 0x80 64\nX bad line\n";
+        // The malformed line 7 lies past the ops taken: never reached.
+        let ops: Vec<LoadOp> = read_trace(text.as_bytes())
+            .take(3)
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(ops.len(), 3);
+        assert!(ops[1].write);
+        // Read on, it fails with its own line number, then the trace ends.
+        let mut all = read_trace(text.as_bytes()).skip(3);
+        let err = all.next().unwrap().unwrap_err().to_string();
+        assert!(
+            err.contains("trace line 7: direction must be R or W"),
+            "{err}"
+        );
+        assert!(all.next().is_none());
     }
 }

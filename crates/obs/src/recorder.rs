@@ -249,13 +249,6 @@ impl ChannelObs {
         self.recorder.record_queue_depth(self.channel, depth);
     }
 
-    /// Forwards to [`Recorder::record_bytes`] with the bound channel.
-    #[inline]
-    pub fn bytes(&self, write: bool, bytes: u64, at_ps: u64) {
-        self.recorder
-            .record_bytes(self.channel, write, bytes, at_ps);
-    }
-
     /// Forwards to [`Recorder::record_energy`] with the bound channel.
     #[inline]
     pub fn energy(&self, kind: CommandKind, pj: f64, at_ps: u64) {
@@ -267,19 +260,6 @@ impl ChannelObs {
     pub fn background(&self, from_ps: u64, to_ps: u64, pj: f64) {
         self.recorder
             .record_background(self.channel, from_ps, to_ps, pj);
-    }
-
-    /// Forwards to [`Recorder::record_span`] with the bound channel.
-    #[inline]
-    pub fn span(&self, name: &str, start_ps: u64, end_ps: u64) {
-        self.recorder
-            .record_span(name, Some(self.channel), start_ps, end_ps);
-    }
-
-    /// Forwards to [`Recorder::record_gauge`] with the bound channel.
-    #[inline]
-    pub fn gauge(&self, name: &str, value: f64) {
-        self.recorder.record_gauge(name, Some(self.channel), value);
     }
 
     /// Forwards to [`Recorder::record_fault`] with the bound channel.

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mcm_sweep::{
-    Executor, JobState, RayonExecutor, SweepError, SweepOptions, WorkItem, WorkOutcome,
+    Executor, JobState, RayonExecutor, SweepError, SweepOptions, SweepStats, WorkItem, WorkOutcome,
 };
 
 use crate::store::ResultStore;
@@ -263,7 +263,7 @@ fn finalize(
         JobKind::Run => points.into_iter().next().unwrap_or(serde::Value::Null),
         JobKind::Sweep | JobKind::Batch => serde_json::json!({
             "points": points,
-            "stats": fold_stats(outcomes)
+            "stats": stats_json(outcomes)
         }),
     };
     let doc = serde_json::json!({
@@ -293,41 +293,17 @@ fn outcome_json(o: &WorkOutcome) -> serde::Value {
     })
 }
 
-/// Aggregate counters over a finished job, mirroring the sweep engine's
-/// [`SweepStats`](mcm_sweep::SweepStats) accounting plus a cancelled
-/// bucket.
-fn fold_stats(outcomes: &[WorkOutcome]) -> serde::Value {
-    let mut simulated = 0usize;
-    let mut cached = 0usize;
-    let mut prelinted = 0usize;
-    let mut infeasible = 0usize;
-    let mut failed = 0usize;
-    let mut cancelled = 0usize;
-    for o in outcomes {
-        match &o.outcome {
-            Ok(record) => {
-                if o.prelinted {
-                    prelinted += 1;
-                } else if o.cached {
-                    cached += 1;
-                } else {
-                    simulated += 1;
-                }
-                if !record.feasible {
-                    infeasible += 1;
-                }
-            }
-            Err(SweepError::Cancelled { .. }) => cancelled += 1,
-            Err(_) => failed += 1,
-        }
-    }
+/// A finished job's [`SweepStats`] as its wire document (the counters only;
+/// per-point times are in the points).
+fn stats_json(outcomes: &[WorkOutcome]) -> serde::Value {
+    let stats = SweepStats::from_outcomes(outcomes, std::time::Duration::ZERO);
     serde_json::json!({
-        "total": outcomes.len(),
-        "simulated": simulated,
-        "cached": cached,
-        "prelinted": prelinted,
-        "infeasible": infeasible,
-        "failed": failed,
-        "cancelled": cancelled
+        "total": stats.total,
+        "simulated": stats.simulated,
+        "cached": stats.cached,
+        "prelinted": stats.prelinted,
+        "infeasible": stats.infeasible,
+        "failed": stats.failed,
+        "cancelled": stats.cancelled
     })
 }

@@ -470,6 +470,15 @@ fn u64_field(body: &serde::Value, key: &str) -> Result<Option<u64>, String> {
         .transpose()
 }
 
+/// `n` as the op budget under `key`: the model refuses a run of no
+/// operations, so the service refuses one before it queues.
+fn op_budget(n: u64, key: &str) -> Result<u64, String> {
+    if n == 0 {
+        return Err(format!("`{key}` must be at least one operation"));
+    }
+    Ok(n)
+}
+
 /// `body[key]` as a boolean; absent is `false`.
 fn bool_field(body: &serde::Value, key: &str) -> Result<bool, String> {
     body.get(key).map_or(Ok(false), |v| {
@@ -496,7 +505,7 @@ fn parse_run_body(
     check_keys(body, RUN_KEYS)?;
     let mut experiment = parse_experiment(body)?;
     if let Some(n) = u64_field(body, "op_limit")? {
-        experiment.op_limit = Some(n);
+        experiment.op_limit = Some(op_budget(n, "op_limit")?);
     }
     let run = parse_run_options(body)?;
     let faults = parse_faults(body, experiment.memory.channels)?;
@@ -563,7 +572,8 @@ fn parse_run_options(body: &serde::Value) -> Result<RunOptions, String> {
                     u32::try_from(n).map_err(|_| format!("`run.frames` = {n} is out of range"))?;
             }
             "op_limit" => {
-                run.op_limit = Some(v.as_u64().ok_or("`run.op_limit` must be a number")?);
+                let n = v.as_u64().ok_or("`run.op_limit` must be a number")?;
+                run.op_limit = Some(op_budget(n, "run.op_limit")?);
             }
             other => return Err(format!("unknown run option `{other}`")),
         }

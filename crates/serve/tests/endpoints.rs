@@ -172,6 +172,8 @@ fn health_routing_and_refusals() {
         ("/runs", r#"{"clock_mhz": "266"}"#, "clock_mhz"),
         ("/runs", r#"{"format": 1080}"#, "format"),
         ("/runs", r#"{"op_limit": -1}"#, "op_limit"),
+        ("/runs", r#"{"op_limit": 0}"#, "op_limit"),
+        ("/runs", r#"{"run": {"op_limit": 0}}"#, "run.op_limit"),
         ("/runs", r#"{"label": 7}"#, "label"),
         (
             "/sweeps",
@@ -420,6 +422,23 @@ fn cancelling_a_sweep_leaves_the_store_consistent() {
         matches!(status, "cancelled" | "done"),
         "unexpected terminal state {status}"
     );
+    // The stats document counts cancelled points apart from failures.
+    let result = doc
+        .get("result")
+        .expect("a cancelled sweep carries a result");
+    let count = |key: &str| result.get("stats").and_then(|s| s.get(key)?.as_u64());
+    let points = result.get("points").and_then(|p| p.as_array()).unwrap();
+    let unrun = points
+        .iter()
+        .filter(|p| {
+            p.get("error")
+                .and_then(|e| e.as_str())
+                .is_some_and(|e| e.contains("cancelled"))
+        })
+        .count() as u64;
+    assert_eq!(count("cancelled"), Some(unrun), "{result:?}");
+    assert_eq!(count("failed"), Some(0), "{result:?}");
+    assert_eq!(count("total"), Some(4), "{result:?}");
 
     // Cancelling a finished job reports `cancelled: false`, not an error.
     h.wait_terminal(occupant_job);
@@ -442,7 +461,22 @@ fn cancelling_a_sweep_leaves_the_store_consistent() {
     let done = h.wait_terminal(retry_job);
     assert_eq!(done.get("status").and_then(|v| v.as_str()), Some("done"));
     let result = done.get("result").expect("finished sweep carries a result");
-    assert!(result.get("stats").is_some(), "{result:?}");
+    let Some(serde::Value::Object(stats)) = result.get("stats") else {
+        panic!("no stats document: {result:?}");
+    };
+    let keys: Vec<&str> = stats.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "total",
+            "simulated",
+            "cached",
+            "prelinted",
+            "infeasible",
+            "failed",
+            "cancelled"
+        ]
+    );
 
     h.shutdown();
 }

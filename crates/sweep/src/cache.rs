@@ -13,105 +13,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use mcm_core::{CoreError, Experiment, FrameResult, RunOptions};
-use serde::{Deserialize, Serialize};
+use mcm_core::{Experiment, PointRecord, RunOptions};
 
 use crate::error::SweepError;
 use crate::key::content_key;
-
-/// The distilled, serializable result of one sweep point.
-///
-/// This is deliberately *not* the full [`FrameResult`] (whose subsystem
-/// report is an open-ended simulation artifact): it is the stable set of
-/// metrics the paper's figures and this repo's ablations consume, so cache
-/// entries survive refactors of the simulator internals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PointRecord {
-    /// Whether the frame buffers fit the configuration at all.
-    pub feasible: bool,
-    /// Why not, when infeasible.
-    pub infeasible_reason: Option<String>,
-    /// Frame access time, ms (feasible points only).
-    pub access_ms: Option<f64>,
-    /// Real-time budget, ms.
-    pub budget_ms: Option<f64>,
-    /// Real-time verdict (`meets` / `marginal` / `fails`).
-    pub verdict: Option<String>,
-    /// Average DRAM core power, mW.
-    pub core_mw: Option<f64>,
-    /// Interface power (equation (1)), mW.
-    pub interface_mw: Option<f64>,
-    /// Bus efficiency (achieved ÷ peak bandwidth).
-    pub efficiency: Option<f64>,
-    /// Energy per transferred bit, pJ.
-    pub energy_per_bit_pj: Option<f64>,
-    /// Worst per-channel p99 request latency, ns (when channels report it).
-    pub latency_p99_ns: Option<f64>,
-    /// Bytes the full frame moves.
-    pub planned_bytes: u64,
-    /// Bytes actually simulated (smaller only under an op limit).
-    pub simulated_bytes: u64,
-    /// Theoretical peak bandwidth, Gbyte/s.
-    pub peak_gbytes_per_s: f64,
-}
-
-impl PointRecord {
-    /// Distills a run result, folding capacity overflows into infeasible
-    /// records the same way the paper's figures drop such bars. Any other
-    /// error passes through.
-    pub fn from_result(result: Result<FrameResult, CoreError>) -> Result<PointRecord, CoreError> {
-        match result {
-            Ok(r) => Ok(PointRecord {
-                feasible: true,
-                infeasible_reason: None,
-                access_ms: Some(r.access_time.as_ms_f64()),
-                budget_ms: Some(r.frame_budget.as_ms_f64()),
-                verdict: Some(r.verdict.to_string()),
-                core_mw: Some(r.power.core_mw),
-                interface_mw: Some(r.power.interface_mw),
-                efficiency: Some(r.efficiency()),
-                energy_per_bit_pj: Some(r.energy_per_bit_pj()),
-                latency_p99_ns: r
-                    .report
-                    .channels
-                    .iter()
-                    .filter_map(|c| c.latency_p99)
-                    .max()
-                    .map(|t| t.as_ns_f64()),
-                planned_bytes: r.planned_bytes,
-                simulated_bytes: r.simulated_bytes,
-                peak_gbytes_per_s: r.peak_bandwidth_bytes_per_s / 1e9,
-            }),
-            Err(CoreError::Load(mcm_load::LoadError::LayoutOverflow { needed, capacity })) => {
-                Ok(PointRecord {
-                    feasible: false,
-                    infeasible_reason: Some(format!(
-                        "frame buffers need {} MiB, capacity is {} MiB",
-                        needed >> 20,
-                        capacity >> 20
-                    )),
-                    access_ms: None,
-                    budget_ms: None,
-                    verdict: None,
-                    core_mw: None,
-                    interface_mw: None,
-                    efficiency: None,
-                    energy_per_bit_pj: None,
-                    latency_p99_ns: None,
-                    planned_bytes: 0,
-                    simulated_bytes: 0,
-                    peak_gbytes_per_s: 0.0,
-                })
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Total power (core + interface), mW, for feasible points.
-    pub fn total_mw(&self) -> Option<f64> {
-        Some(self.core_mw? + self.interface_mw?)
-    }
-}
 
 /// A directory of fingerprint-keyed [`PointRecord`]s.
 #[derive(Debug, Clone)]

@@ -22,10 +22,10 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::PointRecord;
 use crate::error::SweepError;
 use crate::key::{spec_hash, KEY_SCHEMA_VERSION};
 use crate::spec::SweepSpec;
+use mcm_core::PointRecord;
 
 /// The sealed first line of a checkpoint log: which sweep this log belongs
 /// to. Every field must match on open, or the log is refused. Keys the
@@ -281,7 +281,7 @@ mod tests {
     }
 
     fn record() -> PointRecord {
-        crate::exec::prelinted_record("test".to_string())
+        PointRecord::infeasible("test".to_string())
     }
 
     #[test]

@@ -13,16 +13,13 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use mcm_core::runner::run_isolated;
-use mcm_core::{BatchRunner, CoreError, Experiment, FrameResult, RunOptions};
+use mcm_core::{PointRecord, RunOptions};
 use mcm_load::HdOperatingPoint;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::PointRecord;
 use crate::checkpoint::CheckpointLog;
 use crate::error::SweepError;
-use crate::exec::{Executor, RayonExecutor, WorkItem};
+use crate::exec::{Executor, WorkItem, WorkOutcome};
 use crate::spec::{SweepPoint, SweepSpec};
 
 /// How a sweep executes: worker threads, caching, per-point run options,
@@ -35,7 +32,8 @@ pub struct SweepOptions {
     /// Directory for the content-hash result cache; `None` disables
     /// caching and simulates every point.
     pub cache_dir: Option<PathBuf>,
-    /// Options applied to every point's [`Experiment::run_with`] call.
+    /// Options applied to every point's
+    /// [`Experiment::run_with`](mcm_core::Experiment::run_with) call.
     /// Sweeps are single-frame: `frames` must stay `1`.
     pub run: RunOptions,
     /// Print one progress line per completed point to stderr.
@@ -117,7 +115,8 @@ pub struct PointOutcome {
     pub elapsed: Duration,
 }
 
-/// Aggregate counters and timing for one sweep run.
+/// Aggregate counters and timing for one executed job: a sweep, or a
+/// batch `mcm serve` ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepStats {
     /// Points in the sweep.
@@ -135,10 +134,60 @@ pub struct SweepStats {
     pub infeasible: usize,
     /// Points that errored or panicked.
     pub failed: usize,
+    /// Points cancelled before they could run.
+    pub cancelled: usize,
     /// Wall-clock time of the whole sweep.
     pub wall: Duration,
     /// The single slowest point's time and label.
     pub slowest: Option<(Duration, String)>,
+}
+
+impl SweepStats {
+    /// Folds a job's outcomes into the counters; `wall` is the job's
+    /// wall-clock time.
+    pub fn from_outcomes(outcomes: &[WorkOutcome], wall: Duration) -> SweepStats {
+        let mut stats = SweepStats {
+            total: outcomes.len(),
+            simulated: 0,
+            cached: 0,
+            resumed: 0,
+            prelinted: 0,
+            infeasible: 0,
+            failed: 0,
+            cancelled: 0,
+            wall,
+            slowest: None,
+        };
+        for o in outcomes {
+            match &o.outcome {
+                Ok(record) => {
+                    if o.prelinted {
+                        stats.prelinted += 1;
+                    } else if o.resumed {
+                        stats.resumed += 1;
+                    } else if o.cached {
+                        stats.cached += 1;
+                    } else {
+                        stats.simulated += 1;
+                    }
+                    if !record.feasible {
+                        stats.infeasible += 1;
+                    }
+                }
+                Err(SweepError::Cancelled { .. }) => stats.cancelled += 1,
+                Err(_) => stats.failed += 1,
+            }
+            if stats
+                .slowest
+                .as_ref()
+                .map(|(t, _)| o.elapsed > *t)
+                .unwrap_or(true)
+            {
+                stats.slowest = Some((o.elapsed, o.label.clone()));
+            }
+        }
+        stats
+    }
 }
 
 impl core::fmt::Display for SweepStats {
@@ -158,13 +207,12 @@ impl core::fmt::Display for SweepStats {
         if self.prelinted > 0 {
             write!(f, "{} prelinted, ", self.prelinted)?;
         }
-        write!(
-            f,
-            "{} infeasible, {} failed in {:.2} s",
-            self.infeasible,
-            self.failed,
-            self.wall.as_secs_f64()
-        )?;
+        write!(f, "{} infeasible, {} failed", self.infeasible, self.failed)?;
+        // Rendered only when a cancellation actually landed.
+        if self.cancelled > 0 {
+            write!(f, ", {} cancelled", self.cancelled)?;
+        }
+        write!(f, " in {:.2} s", self.wall.as_secs_f64())?;
         if let Some((t, label)) = &self.slowest {
             write!(f, " (slowest {:.0} ms: {label})", t.as_secs_f64() * 1e3)?;
         }
@@ -264,49 +312,6 @@ impl SweepResult {
     }
 }
 
-/// Folds executed outcomes into the aggregate counters.
-pub(crate) fn collect_stats(points: &[PointOutcome], wall: Duration) -> SweepStats {
-    let mut stats = SweepStats {
-        total: points.len(),
-        simulated: 0,
-        cached: 0,
-        resumed: 0,
-        prelinted: 0,
-        infeasible: 0,
-        failed: 0,
-        wall,
-        slowest: None,
-    };
-    for o in points {
-        match &o.outcome {
-            Ok(record) => {
-                if o.prelinted {
-                    stats.prelinted += 1;
-                } else if o.resumed {
-                    stats.resumed += 1;
-                } else if o.cached {
-                    stats.cached += 1;
-                } else {
-                    stats.simulated += 1;
-                }
-                if !record.feasible {
-                    stats.infeasible += 1;
-                }
-            }
-            Err(_) => stats.failed += 1,
-        }
-        if stats
-            .slowest
-            .as_ref()
-            .map(|(t, _)| o.elapsed > *t)
-            .unwrap_or(true)
-        {
-            stats.slowest = Some((o.elapsed, o.label.clone()));
-        }
-    }
-    stats
-}
-
 /// The sweep entry point: expands `spec` and executes every point under
 /// `options` on a caller-supplied [`Executor`] — submit one job, block on
 /// its outcomes, fold them back into a [`SweepResult`]. Pass
@@ -352,6 +357,7 @@ pub(crate) fn run_points_on(
     let started = Instant::now();
     let job = executor.submit(items, options.clone())?;
     let outcomes = executor.collect(job)?;
+    let stats = SweepStats::from_outcomes(&outcomes, started.elapsed());
     let points: Vec<PointOutcome> = points
         .into_iter()
         .zip(outcomes)
@@ -368,58 +374,14 @@ pub(crate) fn run_points_on(
             elapsed: o.elapsed,
         })
         .collect();
-    let stats = collect_stats(&points, started.elapsed());
     Ok(SweepResult { points, stats })
-}
-
-/// A [`BatchRunner`] that executes batches through the shared
-/// [`RayonExecutor`] scheduling path with per-point panic isolation —
-/// plug it into `mcm-core`'s figure builders to compute whole grids in
-/// parallel:
-///
-/// ```
-/// use mcm_core::figures;
-/// use mcm_sweep::ParallelRunner;
-///
-/// let grid = figures::fig3_data_with(&ParallelRunner::new()).unwrap();
-/// assert!(!grid.cells.is_empty());
-/// ```
-#[derive(Debug, Default)]
-pub struct ParallelRunner {
-    exec: RayonExecutor,
-    threads: Option<usize>,
-}
-
-impl ParallelRunner {
-    /// Uses rayon's default worker count (`RAYON_NUM_THREADS`, then the
-    /// machine).
-    pub fn new() -> Self {
-        ParallelRunner {
-            exec: RayonExecutor::new(1),
-            threads: None,
-        }
-    }
-
-    /// Uses exactly `threads` workers.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelRunner {
-            exec: RayonExecutor::new(1),
-            threads: Some(threads),
-        }
-    }
-}
-
-impl BatchRunner for ParallelRunner {
-    fn run_batch(&self, experiments: &[Experiment]) -> Vec<Result<FrameResult, CoreError>> {
-        self.exec.run_inline(self.threads, || {
-            experiments.par_iter().map(run_isolated).collect()
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::RayonExecutor;
+    use mcm_core::{BatchRunner, Experiment, SerialRunner};
 
     fn quick_spec() -> SweepSpec {
         SweepSpec {
@@ -449,6 +411,56 @@ mod tests {
     }
 
     #[test]
+    fn one_fold_counts_every_outcome_kind() {
+        let outcome = |label: &str, outcome, ms| WorkOutcome {
+            label: label.into(),
+            outcome,
+            cached: false,
+            prelinted: false,
+            key: None,
+            resumed: false,
+            elapsed: Duration::from_millis(ms),
+        };
+        let mut outcomes = vec![
+            outcome("simulated", Ok(PointRecord::infeasible("x".into())), 3),
+            outcome("cached", Ok(PointRecord::infeasible("x".into())), 1),
+            outcome(
+                "failed",
+                Err(SweepError::Point {
+                    label: "failed".into(),
+                    source: mcm_core::CoreError::BadParam { reason: "x".into() },
+                }),
+                1,
+            ),
+            outcome(
+                "cancelled",
+                Err(SweepError::Cancelled {
+                    label: "cancelled".into(),
+                }),
+                0,
+            ),
+        ];
+        outcomes[1].cached = true;
+        let stats = SweepStats::from_outcomes(&outcomes, Duration::ZERO);
+        assert_eq!(
+            (stats.total, stats.simulated, stats.cached, stats.infeasible),
+            (4, 1, 1, 2)
+        );
+        assert_eq!((stats.failed, stats.cancelled), (1, 1));
+        assert_eq!(stats.slowest.as_ref().unwrap().1, "simulated");
+        assert!(
+            stats
+                .to_string()
+                .contains("2 infeasible, 1 failed, 1 cancelled in"),
+            "{stats}"
+        );
+        // Without a cancellation the line reads as it always did.
+        outcomes.pop();
+        let stats = SweepStats::from_outcomes(&outcomes, Duration::ZERO);
+        assert!(!stats.to_string().contains("cancelled"), "{stats}");
+    }
+
+    #[test]
     fn steady_options_are_rejected() {
         let mut options = SweepOptions::default();
         options.run.frames = 5;
@@ -475,21 +487,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runner_matches_serial_runner() {
-        let exps: Vec<Experiment> = quick_spec()
+    fn executor_batches_match_serial_runner() {
+        // The paper cells plus one that cannot hold its frame buffers: the
+        // executor's job path and the serial runner distill every one of
+        // them, infeasible folds included, into the same record.
+        let mut exps: Vec<Experiment> = quick_spec()
             .expand()
             .unwrap()
             .into_iter()
             .map(|p| p.experiment)
             .collect();
-        let serial = mcm_core::SerialRunner.run_batch(&exps);
-        let parallel = ParallelRunner::with_threads(2).run_batch(&exps);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(
-                s.as_ref().unwrap().access_time,
-                p.as_ref().unwrap().access_time
-            );
-        }
+        exps.push(Experiment::paper(HdOperatingPoint::Uhd2160p30, 1, 400));
+        let serial = SerialRunner.run_batch(&exps);
+        let executor = RayonExecutor::default();
+        let batched = executor.run_batch(&exps);
+        assert_eq!(serial, batched);
+        assert_eq!(executor.simulated(), exps.len(), "one job ran every item");
+        assert!(!batched.last().unwrap().as_ref().unwrap().feasible);
     }
 
     #[test]

@@ -2,24 +2,25 @@
 //!
 //! [`Executor`] is the asynchronous job API every consumer drives:
 //! [`run_sweep_on`](crate::run_sweep_on) submits one job and blocks on
-//! [`Executor::collect`]; the figure harness routes its batches through the
-//! same machinery via [`ParallelRunner`](crate::ParallelRunner); the server
-//! keeps many jobs in flight, polls their progress, and cancels them on
-//! client request. [`RayonExecutor`] is the one implementation: a bounded
-//! number of concurrent jobs, each executed on the rayon pool with the
-//! engine's full per-point pipeline (static prelint, content-key cache
-//! lookup, panic-isolated simulation, cache write-back).
+//! [`Executor::collect`]; the figure builders hand [`RayonExecutor`] their
+//! grids as a [`BatchRunner`], which submits each batch as one job and
+//! collects it the same way; the server keeps many jobs in flight, polls
+//! their progress, and cancels them on client request. [`RayonExecutor`]
+//! is the one implementation: a bounded number of concurrent jobs, each
+//! executed on the rayon pool with the engine's full per-point pipeline
+//! (static prelint, content-key cache lookup, panic-isolated simulation,
+//! cache write-back).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mcm_core::runner::panic_message;
-use mcm_core::{CoreError, Experiment, FrameResult, RunOptions};
+use mcm_core::runner::run_isolated;
+use mcm_core::{BatchRunner, CoreError, Experiment, PointRecord};
 use rayon::prelude::*;
 
-use crate::cache::{PointRecord, ResultCache};
+use crate::cache::ResultCache;
 use crate::engine::SweepOptions;
 use crate::error::SweepError;
 use crate::key::content_key;
@@ -71,7 +72,8 @@ pub struct JobSnapshot {
 }
 
 /// One unit of work: a fully built experiment plus the fault plan (if any)
-/// that joins the job-wide [`RunOptions`] before keying and simulation.
+/// that joins the job-wide [`RunOptions`](mcm_core::RunOptions) before
+/// keying and simulation.
 #[derive(Debug, Clone)]
 pub struct WorkItem {
     /// Human-readable coordinates, carried through to the outcome.
@@ -231,23 +233,12 @@ impl RayonExecutor {
         self.shared.simulated.load(Ordering::Relaxed)
     }
 
-    /// Runs `op` inside a job slot on the pool `threads` selects — the
-    /// synchronous flavour of the same bounded-concurrency scheduling the
-    /// asynchronous jobs use. The figure harness batches go through here.
-    pub fn run_inline<R: Send>(&self, threads: Option<usize>, op: impl FnOnce() -> R + Send) -> R {
-        self.acquire_slot(None);
-        let result = on_pool(threads, op);
-        self.release_slot();
-        result
-    }
-
-    /// Blocks until a slot frees up. With a cancel flag, returns early
-    /// (without a slot) when the flag is raised; returns whether a slot was
-    /// actually taken.
-    fn acquire_slot(&self, cancel: Option<&AtomicBool>) -> bool {
+    /// Blocks until a slot frees up, or returns early (without a slot)
+    /// when `cancel` is raised; returns whether a slot was actually taken.
+    fn acquire_slot(&self, cancel: &AtomicBool) -> bool {
         let mut slots = self.shared.slots.lock().expect("executor lock poisoned");
         loop {
-            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            if cancel.load(Ordering::Relaxed) {
                 return false;
             }
             if *slots > 0 {
@@ -304,7 +295,7 @@ impl RayonExecutor {
             let entry = jobs.get(&job).expect("job entry outlives its worker");
             (entry.done.clone(), entry.cancel.clone())
         };
-        if !self.acquire_slot(Some(&cancel)) {
+        if !self.acquire_slot(&cancel) {
             // Cancelled while queued: no slot was consumed, no item ran.
             let outcomes = items
                 .into_iter()
@@ -342,7 +333,7 @@ impl RayonExecutor {
                     let started = Instant::now();
                     WorkOutcome {
                         label: item.label.clone(),
-                        outcome: Ok(prelinted_record(reason.clone())),
+                        outcome: Ok(PointRecord::infeasible(reason.clone())),
                         cached: false,
                         prelinted: true,
                         key: None,
@@ -460,6 +451,40 @@ impl Executor for RayonExecutor {
     }
 }
 
+/// A figure batch is one job: submitted with default options (no cache, no
+/// prelint) and collected, each item's sweep error unwrapped back to the
+/// experiment's own [`CoreError`].
+impl BatchRunner for RayonExecutor {
+    fn run_batch(&self, experiments: &[Experiment]) -> Vec<Result<PointRecord, CoreError>> {
+        let items = experiments
+            .iter()
+            .enumerate()
+            .map(|(i, exp)| WorkItem::new(format!("batch item {i}"), exp.clone()))
+            .collect();
+        let outcomes = self
+            .submit(items, SweepOptions::default())
+            .and_then(|job| self.collect(job));
+        match outcomes {
+            Ok(outcomes) => outcomes
+                .into_iter()
+                .map(|o| o.outcome.map_err(core_error))
+                .collect(),
+            Err(e) => vec![Err(core_error(e)); experiments.len()],
+        }
+    }
+}
+
+/// The experiment's own error inside a per-point failure; any other sweep
+/// error (which default batch options never raise) as a typed message.
+fn core_error(e: SweepError) -> CoreError {
+    match e {
+        SweepError::Point { source, .. } => source,
+        other => CoreError::BadParam {
+            reason: other.to_string(),
+        },
+    }
+}
+
 /// Runs `op` on the pool `threads` selects: a dedicated pool for an
 /// explicit count, rayon's ambient default otherwise.
 fn on_pool<R>(threads: Option<usize>, op: impl FnOnce() -> R) -> R {
@@ -484,40 +509,6 @@ fn cancelled_outcome(label: String) -> WorkOutcome {
         key: None,
         resumed: false,
         elapsed: Duration::ZERO,
-    }
-}
-
-/// The record a prelinted item gets instead of simulating: infeasible,
-/// with the analyzer's `"MCM4xx: …"` witness as the reason and the same
-/// empty metrics an engine-side `LayoutOverflow` produces.
-pub(crate) fn prelinted_record(reason: String) -> PointRecord {
-    PointRecord {
-        feasible: false,
-        infeasible_reason: Some(reason),
-        access_ms: None,
-        budget_ms: None,
-        verdict: None,
-        core_mw: None,
-        interface_mw: None,
-        efficiency: None,
-        energy_per_bit_pj: None,
-        latency_p99_ns: None,
-        planned_bytes: 0,
-        simulated_bytes: 0,
-        peak_gbytes_per_s: 0.0,
-    }
-}
-
-/// Runs one item with panic isolation, honoring the job's run options.
-fn simulate_point(exp: &Experiment, run: &RunOptions) -> Result<FrameResult, CoreError> {
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run_with(run)));
-    match attempt {
-        Ok(outcome) => outcome?.into_frame().ok_or_else(|| CoreError::BadParam {
-            reason: "sweep run options must produce a single-frame result".into(),
-        }),
-        Err(payload) => Err(CoreError::Panicked {
-            message: panic_message(payload.as_ref()),
-        }),
     }
 }
 
@@ -556,12 +547,10 @@ fn execute_item(
         Some(record) => Ok(record),
         None => {
             simulated.fetch_add(1, Ordering::Relaxed);
-            PointRecord::from_result(simulate_point(&item.experiment, &point_run)).map_err(
-                |source| SweepError::Point {
-                    label: item.label.clone(),
-                    source,
-                },
-            )
+            run_isolated(&item.experiment, &point_run).map_err(|source| SweepError::Point {
+                label: item.label.clone(),
+                source,
+            })
         }
     };
     if !cached && !resumed {

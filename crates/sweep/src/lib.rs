@@ -10,7 +10,8 @@
 //! * [`Executor`] / [`RayonExecutor`] — the shared scheduling path
 //!   (submit / poll / cancel / collect) behind every consumer: bounded
 //!   concurrent jobs over the rayon pool, per-item panic/error isolation
-//!   ([`SweepError`]), static prelint, content-key caching;
+//!   ([`SweepError`]), static prelint, content-key caching, and one fold
+//!   of a job's outcomes into [`SweepStats`];
 //! * [`run_sweep_on`] — the single entry point: one job submitted to a
 //!   caller-supplied executor, collected, and folded back into
 //!   **expansion-order** results with live progress and per-point timing
@@ -21,11 +22,13 @@
 //! * [`CheckpointLog`] — crash-safe resume: completed points land in an
 //!   atomically rewritten JSONL log, and a killed sweep re-simulates only
 //!   what is missing;
-//! * [`ResultCache`] — a content-hash disk cache keyed by [`content_key`]:
-//!   re-running a figure only simulates the points whose configuration
-//!   changed, and the server store shares the keyspace;
-//! * [`ParallelRunner`] — a [`BatchRunner`](mcm_core::BatchRunner) adapter
-//!   that drops the same engine under `mcm-core`'s figure builders.
+//! * [`ResultCache`] — a content-hash disk cache of [`PointRecord`]s (the
+//!   one distilled result, defined in `mcm-core`) keyed by
+//!   [`content_key`]: re-running a sweep only simulates the points whose
+//!   configuration changed, and the server store shares the keyspace;
+//! * [`RayonExecutor`] is also `mcm-core`'s
+//!   [`BatchRunner`](mcm_core::BatchRunner): the figure builders hand it
+//!   each grid, and it runs that batch as one job.
 //!
 //! ```
 //! use mcm_load::HdOperatingPoint;
@@ -57,13 +60,12 @@ mod key;
 mod shard;
 mod spec;
 
-pub use cache::{PointRecord, ResultCache};
+pub use cache::ResultCache;
 pub use checkpoint::CheckpointLog;
-pub use engine::{
-    run_sweep_on, ParallelRunner, PointOutcome, SweepOptions, SweepResult, SweepStats,
-};
+pub use engine::{run_sweep_on, PointOutcome, SweepOptions, SweepResult, SweepStats};
 pub use error::SweepError;
 pub use exec::{Executor, JobId, JobSnapshot, JobState, RayonExecutor, WorkItem, WorkOutcome};
 pub use key::{content_key, spec_hash, KEY_SCHEMA_VERSION};
+pub use mcm_core::PointRecord;
 pub use shard::{merge_shards, run_sweep_shard_on, MergedSweep, ShardSweep};
 pub use spec::{SweepPoint, SweepSpec};

@@ -9,7 +9,7 @@
 use mcm_core::{BatchRunner, Experiment};
 use mcm_ctrl::WritePolicy;
 use mcm_load::HdOperatingPoint;
-use mcm_sweep::ParallelRunner;
+use mcm_sweep::RayonExecutor;
 
 fn main() {
     println!("Ablation: write scheduling (frame access time [ms] @ 400 MHz)\n");
@@ -28,12 +28,12 @@ fn main() {
                 e
             })
             .collect();
-            let row: String = ParallelRunner::new()
+            let row: String = RayonExecutor::default()
                 .run_batch(&exps)
                 .iter()
-                .map(|r| match r {
-                    Ok(fr) => format!("{:8.2}", fr.access_time.as_ms_f64()),
-                    Err(_) => format!("{:>8}", "n/a"),
+                .map(|r| match r.as_ref().map(|r| r.access_ms) {
+                    Ok(Some(ms)) => format!("{ms:8.2}"),
+                    _ => format!("{:>8}", "n/a"),
                 })
                 .collect();
             println!("  {p} {ch}ch |{row}");

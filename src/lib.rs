@@ -84,8 +84,7 @@ pub mod prelude {
     pub use mcm_power::{BondingTechnique, InterfacePowerModel, PowerSummary, XdrReference};
     pub use mcm_sim::{ClockDomain, Frequency, QueueKind, SimTime};
     pub use mcm_sweep::{
-        run_sweep_on, ParallelRunner, PointOutcome, RayonExecutor, SweepOptions, SweepResult,
-        SweepSpec,
+        run_sweep_on, PointOutcome, RayonExecutor, SweepOptions, SweepResult, SweepSpec,
     };
     pub use mcm_verify::{Diagnostic, Report, Severity, TraceAuditOptions};
 }
