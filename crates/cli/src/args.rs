@@ -209,8 +209,6 @@ pub struct ReportArgs {
     pub timeline_bucket_us: u64,
     /// Also print the raw latency-histogram buckets (text output only).
     pub histogram: bool,
-    /// Cap on simulated operations (None = the whole frame).
-    pub op_limit: Option<u64>,
     /// Export format.
     pub output: OutputFormat,
 }
@@ -221,7 +219,6 @@ impl Default for ReportArgs {
             options: RunOptions::default(),
             timeline_bucket_us: 1,
             histogram: false,
-            op_limit: None,
             output: OutputFormat::Text,
         }
     }
@@ -866,14 +863,6 @@ pub fn parse_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command
                         }
                         i += 2;
                     }
-                    "--op-limit" => {
-                        let v = value(&rest, i, "--op-limit")?;
-                        a.op_limit = Some(
-                            v.parse()
-                                .map_err(|_| CliError(format!("bad --op-limit value '{v}'")))?,
-                        );
-                        i += 2;
-                    }
                     "--histogram" => {
                         a.histogram = true;
                         i += 1;
@@ -1353,7 +1342,7 @@ mod tests {
         assert_eq!(a.options.channels, 2);
         assert_eq!(a.timeline_bucket_us, 50);
         assert!(a.histogram);
-        assert_eq!(a.op_limit, Some(4000));
+        assert_eq!(a.options.op_limit, Some(4000));
         assert_eq!(a.output, OutputFormat::Trace);
     }
 

@@ -509,13 +509,8 @@ fn run_report(a: &ReportArgs) -> Result<String, CliError> {
         ..ObsConfig::default()
     };
     let rec = std::sync::Arc::new(StatsRecorder::with_config(config));
-    let run = mcm_core::RunOptions {
-        op_limit: a.op_limit,
-        ..mcm_core::RunOptions::default()
-    }
-    .with_recorder(rec.clone());
-    exp.run_with(&run)
-        .map_err(|e| CliError(format!("simulation failed: {e}")))?;
+    let run = mcm_core::RunOptions::default().with_recorder(rec.clone());
+    exp.run_with(&run).map_err(sim_err)?;
 
     let report = rec.report();
     Ok(match a.output {
@@ -872,20 +867,27 @@ fn timeline(o: &RunOptions, cycles: u64) -> Result<String, CliError> {
 }
 
 fn trace_dump(o: &RunOptions, out: &str) -> Result<String, CliError> {
+    use std::io::Write;
+
     let exp = build_experiment(o)?;
     let traffic = exp
         .feed(exp.memory.capacity_bytes())
         .traffic(exp.model().as_ref(), 0, &[])
         .map_err(|e| CliError(format!("traffic failed: {e}")))?;
     let io_err = |e: std::io::Error| CliError(format!("cannot write '{out}': {e}"));
-    let n = if out == "-" {
-        let stdout = std::io::stdout();
-        mcm_load::write_trace(traffic, &mut stdout.lock()).map_err(io_err)?
-    } else {
-        let file = std::fs::File::create(out).map_err(io_err)?;
-        let mut w = std::io::BufWriter::new(file);
-        mcm_load::write_trace(traffic, &mut w).map_err(io_err)?
-    };
+    if out == "-" {
+        // Stdout carries the trace alone, so it replays as written; a
+        // reader that closes it early (`… | head`) took all it wanted.
+        let mut w = std::io::BufWriter::new(std::io::stdout().lock());
+        return match mcm_load::write_trace(traffic, &mut w).and_then(|_| w.flush()) {
+            Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(io_err(e)),
+            _ => Ok(String::new()),
+        };
+    }
+    let file = std::fs::File::create(out).map_err(io_err)?;
+    let mut w = std::io::BufWriter::new(file);
+    let n = mcm_load::write_trace(traffic, &mut w).map_err(io_err)?;
+    w.flush().map_err(io_err)?;
     Ok(format!("wrote {n} operations to {out}\n"))
 }
 
@@ -1682,17 +1684,21 @@ mod frame_feed_cli_tests {
 
     #[test]
     fn a_zero_op_limit_is_refused_everywhere() {
-        let sweep: &[&str] = &["sweep", "--formats", "720p30", "--channels", "4"];
-        for command in RUN_OPTION_COMMANDS.iter().chain([&sweep]) {
+        let refusal = "bad experiment parameter: op limit must be at least one operation";
+        let refused = |command: &[&str]| {
             let mut args = command.to_vec();
             args.extend(["--op-limit", "0"]);
-            let err = execute(&parse_args(args.iter().copied()).unwrap()).unwrap_err();
-            assert!(
-                err.to_string()
-                    .contains("bad experiment parameter: op limit must be at least one operation"),
-                "{args:?}: {err}"
-            );
+            execute(&parse_args(args.iter().copied()).unwrap())
+                .unwrap_err()
+                .to_string()
+        };
+        // Every run-option subcommand refuses it with `mcm run`'s message.
+        for command in RUN_OPTION_COMMANDS {
+            assert_eq!(refused(command), refusal, "{command:?}");
         }
+        // A sweep's message starts with the point it refused.
+        let sweep = refused(&["sweep", "--formats", "720p30", "--channels", "4"]);
+        assert!(sweep.contains(refusal), "{sweep}");
     }
 
     #[test]

@@ -443,6 +443,32 @@ impl Controller {
         Ok(())
     }
 
+    /// Makes `row` the open row of `bank` for the next burst: classifies
+    /// the burst's row-buffer outcome, counts it, reports it to an attached
+    /// observer and, on a miss or conflict, has the device switch rows
+    /// ([`BankCluster::switch_row`]). Returns the first command's cycle, or
+    /// `u64::MAX` on a row hit, which issues nothing.
+    #[inline]
+    fn open_burst_row(&mut self, bank: u32, row: u32, not_before: u64) -> Result<u64, CtrlError> {
+        let outcome = match self.device.open_row(bank)? {
+            Some(open) if open == row => RowOutcome::Hit,
+            Some(_) => RowOutcome::Conflict,
+            None => RowOutcome::Miss,
+        };
+        if let Some(obs) = &self.obs {
+            obs.row_outcome(bank as u8, outcome);
+        }
+        match outcome {
+            RowOutcome::Hit => {
+                self.stats.row_hits += 1;
+                return Ok(u64::MAX);
+            }
+            RowOutcome::Miss => self.stats.row_misses += 1,
+            RowOutcome::Conflict => self.stats.row_conflicts += 1,
+        }
+        Ok(self.device.switch_row(bank, row, not_before)?)
+    }
+
     /// Issues one burst (row management + column command), returning the
     /// first command cycle and the data-end cycle.
     fn issue_burst(
@@ -458,43 +484,7 @@ impl Controller {
             first_cmd = first_cmd.min(c.saturating_sub(self.device.timing().t_rfc));
         }
         let d = self.decoder.decode(burst_addr)?;
-        let outcome = match self.device.open_row(d.bank)? {
-            Some(row) if row == d.row => RowOutcome::Hit,
-            Some(_) => RowOutcome::Conflict,
-            None => RowOutcome::Miss,
-        };
-        if let Some(obs) = &self.obs {
-            obs.row_outcome(d.bank as u8, outcome);
-        }
-        match outcome {
-            RowOutcome::Hit => {
-                self.stats.row_hits += 1;
-            }
-            RowOutcome::Conflict => {
-                self.stats.row_conflicts += 1;
-                let (c, _) = self.issue(DramCommand::Precharge { bank: d.bank }, not_before)?;
-                first_cmd = first_cmd.min(c);
-                let (c, _) = self.issue(
-                    DramCommand::Activate {
-                        bank: d.bank,
-                        row: d.row,
-                    },
-                    not_before,
-                )?;
-                first_cmd = first_cmd.min(c);
-            }
-            RowOutcome::Miss => {
-                self.stats.row_misses += 1;
-                let (c, _) = self.issue(
-                    DramCommand::Activate {
-                        bank: d.bank,
-                        row: d.row,
-                    },
-                    not_before,
-                )?;
-                first_cmd = first_cmd.min(c);
-            }
-        }
+        first_cmd = first_cmd.min(self.open_burst_row(d.bank, d.row, not_before)?);
         let cmd = if write {
             DramCommand::Write {
                 bank: d.bank,
@@ -684,36 +674,7 @@ impl Controller {
                 continue;
             }
             let d = self.decoder.decode(burst << shift)?;
-            match self.device.open_row(d.bank)? {
-                Some(row) if row == d.row => {
-                    self.stats.row_hits += 1;
-                }
-                Some(_) => {
-                    self.stats.row_conflicts += 1;
-                    let (c, _) =
-                        self.issue(DramCommand::Precharge { bank: d.bank }, req.arrival)?;
-                    first_cmd = first_cmd.min(c);
-                    let (c, _) = self.issue(
-                        DramCommand::Activate {
-                            bank: d.bank,
-                            row: d.row,
-                        },
-                        req.arrival,
-                    )?;
-                    first_cmd = first_cmd.min(c);
-                }
-                None => {
-                    self.stats.row_misses += 1;
-                    let (c, _) = self.issue(
-                        DramCommand::Activate {
-                            bank: d.bank,
-                            row: d.row,
-                        },
-                        req.arrival,
-                    )?;
-                    first_cmd = first_cmd.min(c);
-                }
-            }
+            first_cmd = first_cmd.min(self.open_burst_row(d.bank, d.row, req.arrival)?);
             let page_left = self.page_burst_mask + 1 - (burst & self.page_burst_mask);
             let run = (last_burst - burst + 1).min(page_left);
             let (c, data_end) = self.device.issue_column_run(

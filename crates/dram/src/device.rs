@@ -605,6 +605,92 @@ impl BankCluster {
         Ok((first, last_end))
     }
 
+    /// Opens `row` in `bank` in O(1) time: a PRE when the bank has a row
+    /// open, then the ACT, each at its earliest legal cycle at or after
+    /// `not_before`. Exactly equivalent to the same commands issued through
+    /// [`BankCluster::issue_at_earliest`]: the controller's row-switch
+    /// path, the conflict-side twin of [`BankCluster::issue_column_run`].
+    ///
+    /// The PRE issues at the latest of the command bus, `not_before` and
+    /// the bank's PRE watermark; it moves the command bus one cycle past
+    /// itself and the bank's ACT watermark tRP (plus any bank penalty) past
+    /// itself. The ACT then issues at the latest of the command bus,
+    /// `not_before`, the bank's ACT watermark, tRRD and the tFAW ring; it
+    /// arms the bank's tRCD (plus any penalty), tRAS and tRC windows and
+    /// moves tRRD and the ring past itself. Statistics, trace entries,
+    /// background switches and the activate energy follow in per-command
+    /// order, so the energy account's f64 bits are those of per-command
+    /// issue.
+    ///
+    /// Returns the first command's cycle. With observability attached, the
+    /// device asleep, or a bad bank or row, it issues the commands one at a
+    /// time instead, so callbacks and errors are identical.
+    #[inline]
+    pub fn switch_row(&mut self, bank: u32, row: u32, not_before: u64) -> Result<u64, DramError> {
+        let fast = self.obs.is_none()
+            && !self.self_refreshing
+            && !self.powered_down
+            && (bank as usize) < self.banks.len()
+            && row < self.geometry.rows;
+        if !fast {
+            return self.switch_row_per_command(bank, row, not_before);
+        }
+        let i = bank as usize;
+        let (extra_trcd, extra_trp) = self.penalty_of(i);
+        let mut first = u64::MAX;
+        if self.banks[i].is_active() {
+            let c = self
+                .earliest_cmd
+                .max(not_before)
+                .max(self.banks[i].earliest_pre());
+            self.log_command(DramCommand::Precharge { bank }, c);
+            self.banks[i].apply_precharge(c, self.timing.t_rp + extra_trp);
+            self.open_banks -= 1;
+            self.stats.precharges += 1;
+            self.earliest_cmd = c + 1;
+            self.switch_background(BackgroundState::from_flags(self.open_banks > 0, false), c);
+            first = c;
+        }
+        let mut c = self
+            .earliest_cmd
+            .max(not_before)
+            .max(self.banks[i].earliest_act())
+            .max(self.earliest_any_act);
+        if self.faw_len == 4 {
+            c = c.max(self.faw_ring[self.faw_head as usize] + self.timing.t_faw);
+        }
+        self.log_command(DramCommand::Activate { bank, row }, c);
+        let t = &self.timing;
+        self.banks[i].apply_activate(c, row, t.t_rcd + extra_trcd, t.t_ras, t.t_rc);
+        self.open_banks += 1;
+        self.earliest_any_act = c + t.t_rrd;
+        self.push_faw(c);
+        self.energy.record_activate();
+        self.stats.activates += 1;
+        self.earliest_cmd = c + 1;
+        self.switch_background(BackgroundState::ActiveStandby, c);
+        Ok(first.min(c))
+    }
+
+    /// [`BankCluster::switch_row`] one command at a time: errors and
+    /// observability callbacks are exactly those of unbatched issue.
+    #[cold]
+    #[inline(never)]
+    fn switch_row_per_command(
+        &mut self,
+        bank: u32,
+        row: u32,
+        not_before: u64,
+    ) -> Result<u64, DramError> {
+        let mut first = u64::MAX;
+        if self.open_row(bank)?.is_some() {
+            let (c, _) = self.issue_at_earliest(DramCommand::Precharge { bank }, not_before)?;
+            first = c;
+        }
+        let (c, _) = self.issue_at_earliest(DramCommand::Activate { bank, row }, not_before)?;
+        Ok(first.min(c))
+    }
+
     /// Runs the idle tail's power-down/refresh periods up to `target` in
     /// one pass: the idle-side twin of [`BankCluster::issue_column_run`].
     ///
@@ -712,13 +798,7 @@ impl BankCluster {
                 self.banks[bank as usize].apply_activate(cycle, row, t_rcd, t.t_ras, t.t_rc);
                 self.open_banks += 1;
                 self.earliest_any_act = self.earliest_any_act.max(cycle + t.t_rrd);
-                if self.faw_len == 4 {
-                    self.faw_ring[self.faw_head as usize] = cycle;
-                    self.faw_head = (self.faw_head + 1) & 3;
-                } else {
-                    self.faw_ring[((self.faw_head + self.faw_len) & 3) as usize] = cycle;
-                    self.faw_len += 1;
-                }
+                self.push_faw(cycle);
                 self.energy.record_activate();
                 self.stats.activates += 1;
             }
@@ -814,6 +894,18 @@ impl BankCluster {
         };
         self.switch_background(state, cycle);
         Ok(outcome)
+    }
+
+    /// Records an ACT at `cycle` in the four-activate (tFAW) ring.
+    #[inline]
+    fn push_faw(&mut self, cycle: u64) {
+        if self.faw_len == 4 {
+            self.faw_ring[self.faw_head as usize] = cycle;
+            self.faw_head = (self.faw_head + 1) & 3;
+        } else {
+            self.faw_ring[((self.faw_head + self.faw_len) & 3) as usize] = cycle;
+            self.faw_len += 1;
+        }
     }
 
     /// Program-order bookkeeping every committed command shares: the
@@ -1232,22 +1324,23 @@ mod tests {
         }
     }
 
-    /// A command of the random legal prefix before a column run.
-    #[derive(Debug, Clone, Copy)]
-    enum PrefixCmd {
-        Act { bank: u32, row: u32 },
-        Pre { bank: u32 },
-        Read { bank: u32, col: u32 },
-        Write { bank: u32, col: u32 },
+    /// A command of the random prefix before a column run or row switch,
+    /// to one of banks `0..banks`.
+    fn arb_prefix_cmd(banks: u32) -> impl Strategy<Value = DramCommand> {
+        prop_oneof![
+            (0..banks, 0u32..8192).prop_map(|(bank, row)| DramCommand::Activate { bank, row }),
+            (0..banks).prop_map(|bank| DramCommand::Precharge { bank }),
+            (0..banks, 0u32..512).prop_map(|(bank, col)| DramCommand::Read { bank, col }),
+            (0..banks, 0u32..512).prop_map(|(bank, col)| DramCommand::Write { bank, col }),
+        ]
     }
 
-    fn arb_prefix_cmd() -> impl Strategy<Value = PrefixCmd> {
-        prop_oneof![
-            (0u32..4, 0u32..8192).prop_map(|(bank, row)| PrefixCmd::Act { bank, row }),
-            (0u32..4).prop_map(|bank| PrefixCmd::Pre { bank }),
-            (0u32..4, 0u32..512).prop_map(|(bank, col)| PrefixCmd::Read { bank, col }),
-            (0u32..4, 0u32..512).prop_map(|(bank, col)| PrefixCmd::Write { bank, col }),
-        ]
+    /// Issues `prefix` at the earliest legal cycles, skipping commands that
+    /// are illegal in the drawn state: a random legal prefix.
+    fn issue_prefix(device: &mut BankCluster, prefix: Vec<(DramCommand, u64)>) {
+        for (cmd, not_before) in prefix {
+            let _ = device.issue_at_earliest(cmd, not_before);
+        }
     }
 
     proptest! {
@@ -1263,7 +1356,7 @@ mod tests {
             part in 0usize..3,
             clock in prop_oneof![Just(200u64), Just(266), Just(333), Just(400), Just(533)],
             burst_len_log2 in 1u32..5,
-            prefix in prop::collection::vec((arb_prefix_cmd(), 0u64..64), 0..24),
+            prefix in prop::collection::vec((arb_prefix_cmd(4), 0u64..64), 0..24),
             write in any::<bool>(),
             bank in 0u32..4,
             row in 0u32..8192,
@@ -1283,16 +1376,7 @@ mod tests {
             prop_assume!(built.is_ok());
             let mut run = built.unwrap();
             run.enable_trace();
-            for (cmd, nb) in prefix {
-                let cmd = match cmd {
-                    PrefixCmd::Act { bank, row } => DramCommand::Activate { bank, row },
-                    PrefixCmd::Pre { bank } => DramCommand::Precharge { bank },
-                    PrefixCmd::Read { bank, col } => DramCommand::Read { bank, col },
-                    PrefixCmd::Write { bank, col } => DramCommand::Write { bank, col },
-                };
-                // Commands illegal in the drawn state are skipped.
-                let _ = run.issue_at_earliest(cmd, nb);
-            }
+            issue_prefix(&mut run, prefix);
             if !run.banks[bank as usize].is_active() {
                 run.issue_at_earliest(DramCommand::Activate { bank, row }, 0).unwrap();
             }
@@ -1315,6 +1399,95 @@ mod tests {
                 run.total_energy_pj(horizon).to_bits(),
                 reference.total_energy_pj(horizon).to_bits()
             );
+        }
+
+        /// A closed-form row switch leaves the device exactly where PRE (when
+        /// a row is open) and ACT issued one command at a time leave it:
+        /// return value, every bank and bus watermark, the tRRD/tFAW ring,
+        /// stats, the trace and the energy bits, after any legal prefix, on
+        /// three parts at the paper's clocks, with or without a slow bank.
+        /// Up to four activates to other banks just before the switch let
+        /// tRRD and tFAW hold its ACT back; eight-bank clusters are drawn
+        /// too, since with four banks tRC ≥ tFAW keeps the four-activate
+        /// window from ever binding.
+        #[test]
+        fn switch_row_matches_per_command_issue(
+            part in 0usize..3,
+            clock in prop_oneof![Just(200u64), Just(266), Just(333), Just(400), Just(533)],
+            banks in prop_oneof![Just(4u32), Just(8)],
+            prefix in prop::collection::vec((arb_prefix_cmd(8), 0u64..64), 0..32),
+            lead_acts in 0usize..5,
+            penalty in (any::<bool>(), 0u32..4, 0u64..8, 0u64..8),
+            bank in 0u32..8,
+            row in 0u32..8192,
+            not_before in 0u64..64,
+        ) {
+            let mut config = [
+                ClusterConfig::next_gen_mobile_ddr,
+                ClusterConfig::standard_ddr2,
+                ClusterConfig::future_lpddr2,
+            ][part](clock);
+            config.geometry.banks = banks;
+            let bank = bank % banks;
+            // Not every part runs at every paper clock.
+            let built = BankCluster::new(&config);
+            prop_assume!(built.is_ok());
+            let mut run = built.unwrap();
+            run.enable_trace();
+            if let (true, slow, extra_trcd, extra_trp) = penalty {
+                run.set_bank_penalty(slow, extra_trcd, extra_trp).unwrap();
+            }
+            issue_prefix(&mut run, prefix);
+            let closed: Vec<u32> = (0..banks)
+                .filter(|&b| b != bank && run.banks[b as usize].open_row().is_none())
+                .take(lead_acts)
+                .collect();
+            for other in closed {
+                run.issue_at_earliest(DramCommand::Activate { bank: other, row }, 0).unwrap();
+            }
+            let mut reference = run.clone();
+            let got = run.switch_row(bank, row, not_before).unwrap();
+            let mut first = u64::MAX;
+            if reference.open_row(bank).unwrap().is_some() {
+                let pre = DramCommand::Precharge { bank };
+                first = reference.issue_at_earliest(pre, not_before).unwrap().0;
+            }
+            let act = DramCommand::Activate { bank, row };
+            let (act, _) = reference.issue_at_earliest(act, not_before).unwrap();
+            prop_assert_eq!(got, first.min(act));
+            // Debug prints every field, f64s in round-trip form.
+            prop_assert_eq!(format!("{run:?}"), format!("{reference:?}"));
+            let horizon = act + 1_000;
+            prop_assert_eq!(
+                run.total_energy_pj(horizon).to_bits(),
+                reference.total_energy_pj(horizon).to_bits()
+            );
+        }
+    }
+
+    /// Asleep, or with a bad bank or row, a row switch errs exactly as
+    /// per-command issue does, having committed the same commands first.
+    #[test]
+    fn switch_row_errors_match_per_command_issue() {
+        for (asleep, bank, row) in [(false, 1, 8192), (false, 9, 0), (true, 1, 4), (true, 2, 4)] {
+            let mut run = cluster();
+            run.enable_trace();
+            run.issue(DramCommand::Activate { bank: 1, row: 3 }, 0)
+                .unwrap();
+            if asleep {
+                run.issue(DramCommand::PowerDownEnter, 20).unwrap();
+            }
+            let mut reference = run.clone();
+            let err = run.switch_row(bank, row, 0).unwrap_err();
+            let mut per_command = || {
+                if reference.open_row(bank)?.is_some() {
+                    reference.issue_at_earliest(DramCommand::Precharge { bank }, 0)?;
+                }
+                reference.issue_at_earliest(DramCommand::Activate { bank, row }, 0)
+            };
+            let reference_err = per_command().unwrap_err();
+            assert_eq!(err, reference_err, "bank {bank}, row {row}");
+            assert_eq!(format!("{run:?}"), format!("{reference:?}"));
         }
     }
 

@@ -528,7 +528,13 @@ fn parse_experiment(body: &serde::Value) -> Result<Experiment, String> {
                 "`{key}` cannot be combined with a full `experiment`"
             ));
         }
-        return Experiment::from_value(value).map_err(|e| format!("bad experiment: {e:?}"));
+        // Refused here, not when the job runs: a refused body queues nothing.
+        let experiment =
+            Experiment::from_value(value).map_err(|e| format!("bad `experiment`: {e}"))?;
+        experiment
+            .validate()
+            .map_err(|e| format!("`experiment`: {e}"))?;
+        return Ok(experiment);
     }
     let point = match str_field(body, "format")? {
         None => HdOperatingPoint::Hd1080p30,

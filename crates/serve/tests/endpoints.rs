@@ -156,6 +156,13 @@ fn health_routing_and_refusals() {
     assert_eq!(bad.status, 400);
     assert!(bad.body.get("error").is_some());
 
+    // A full experiment is validated as the shorthand is, before queueing.
+    let mut zero_ops = Experiment::paper(HdOperatingPoint::Hd1080p30, 4, 400);
+    zero_ops.op_limit = Some(0);
+    let zero_ops = format!(
+        r#"{{"experiment": {}}}"#,
+        serde_json::to_string(&zero_ops).unwrap()
+    );
     // Unknown keys and values of the wrong JSON type are refusals that
     // name the key, not silent defaults.
     for (path, body, key) in [
@@ -174,6 +181,8 @@ fn health_routing_and_refusals() {
         ("/runs", r#"{"op_limit": -1}"#, "op_limit"),
         ("/runs", r#"{"op_limit": 0}"#, "op_limit"),
         ("/runs", r#"{"run": {"op_limit": 0}}"#, "run.op_limit"),
+        ("/runs", zero_ops.as_str(), "experiment"),
+        ("/runs", r#"{"experiment": {"memory": 4}}"#, "experiment"),
         ("/runs", r#"{"label": 7}"#, "label"),
         (
             "/sweeps",
