@@ -55,6 +55,91 @@ fn assert_same_bits(a: f64, b: f64, what: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A horizon past the last request, in thousandths of tREFI: up to 40
+/// tREFI, or up to 6 000 tREFI, longer than a 33 ms frame's idle tail at
+/// every paper clock (4 224 tREFI), so whole runs of repeating periods are
+/// fast-forwarded.
+fn arb_horizon_milli_refi() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..=40_000, 0u64..=6_000_000]
+}
+
+/// Feeds `reqs` to a controller that batches its idle runs and to one kept
+/// on the per-command loop by a recorder, finishes both `horizon` past the
+/// last request and compares counters, `busy_until` and the three energies
+/// bit for bit; with `traced`, both keep a device command trace, which
+/// must be equal and legal.
+fn check_parity(
+    clock: u64,
+    pd_after: u64,
+    pressure: u64,
+    reqs: &[ReqSpec],
+    horizon_milli_refi: u64,
+    traced: bool,
+) -> Result<(), TestCaseError> {
+    let mut cfg = ControllerConfig::paper_default(clock);
+    cfg.cluster.timing.min_clock_mhz = 100;
+    cfg.cluster.timing.max_clock_mhz = 800;
+    cfg.power_down = PowerDownPolicy::AfterIdleCycles(pd_after);
+    let build = || {
+        let mut c = Controller::new(&cfg).unwrap();
+        c.set_refresh_pressure(pressure);
+        if traced {
+            c.enable_trace();
+        }
+        c
+    };
+    let mut batched = build();
+    let mut per_command = build();
+    per_command.set_obs(ChannelObs::new(Arc::new(NullRecorder), 0));
+
+    let t_refi = batched.refresh_interval();
+    let mut arrival = 0u64;
+    for r in reqs {
+        arrival += r.gap_milli_refi * t_refi / 1_000;
+        let req = ChannelRequest {
+            op: if r.write {
+                AccessOp::Write
+            } else {
+                AccessOp::Read
+            },
+            addr: r.addr,
+            len: r.len,
+            arrival,
+        };
+        prop_assert_eq!(
+            batched.access(req).unwrap(),
+            per_command.access(req).unwrap()
+        );
+    }
+    let end = arrival + horizon_milli_refi * t_refi / 1_000;
+    let b = batched.finish(end).unwrap();
+    let p = per_command.finish(end).unwrap();
+
+    prop_assert_eq!(b.device, p.device);
+    prop_assert_eq!(b.ctrl, p.ctrl);
+    prop_assert_eq!(b.busy_until, p.busy_until);
+    assert_same_bits(b.total_energy_pj, p.total_energy_pj, "total energy")?;
+    assert_same_bits(
+        b.background_energy_pj,
+        p.background_energy_pj,
+        "background energy",
+    )?;
+    assert_same_bits(b.event_energy_pj, p.event_energy_pj, "event energy")?;
+    if traced {
+        let trace = batched.device().trace().unwrap();
+        prop_assert_eq!(trace, per_command.device().trace().unwrap());
+        let validator =
+            TraceValidator::new(*batched.device().timing(), *batched.device().geometry());
+        let violations = validator.check(trace);
+        prop_assert!(
+            violations.is_empty(),
+            "batched trace has illegal commands: {:?}",
+            &violations[..violations.len().min(3)]
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn batched_idle_runs_match_per_command_issue(
@@ -62,53 +147,21 @@ proptest! {
         pd_after in 1u64..=64,
         pressure in 1u64..=4,
         reqs in prop::collection::vec(arb_request(), 1..6),
-        horizon_milli_refi in 0u64..=40_000,
+        horizon_milli_refi in arb_horizon_milli_refi(),
     ) {
-        let mut cfg = ControllerConfig::paper_default(clock);
-        cfg.cluster.timing.min_clock_mhz = 100;
-        cfg.cluster.timing.max_clock_mhz = 800;
-        cfg.power_down = PowerDownPolicy::AfterIdleCycles(pd_after);
-        let build = || {
-            let mut c = Controller::new(&cfg).unwrap();
-            c.set_refresh_pressure(pressure);
-            c.enable_trace();
-            c
-        };
-        let mut batched = build();
-        let mut per_command = build();
-        per_command.set_obs(ChannelObs::new(Arc::new(NullRecorder), 0));
+        check_parity(clock, pd_after, pressure, &reqs, horizon_milli_refi, true)?;
+    }
 
-        let t_refi = batched.refresh_interval();
-        let mut arrival = 0u64;
-        for r in &reqs {
-            arrival += r.gap_milli_refi * t_refi / 1_000;
-            let req = ChannelRequest {
-                op: if r.write { AccessOp::Write } else { AccessOp::Read },
-                addr: r.addr,
-                len: r.len,
-                arrival,
-            };
-            prop_assert_eq!(batched.access(req).unwrap(), per_command.access(req).unwrap());
-        }
-        let end = arrival + horizon_milli_refi * t_refi / 1_000;
-        let b = batched.finish(end).unwrap();
-        let p = per_command.finish(end).unwrap();
-
-        let trace = batched.device().trace().unwrap();
-        prop_assert_eq!(trace, per_command.device().trace().unwrap());
-        prop_assert_eq!(b.device, p.device);
-        prop_assert_eq!(b.ctrl, p.ctrl);
-        prop_assert_eq!(b.busy_until, p.busy_until);
-        assert_same_bits(b.total_energy_pj, p.total_energy_pj, "total energy")?;
-        assert_same_bits(b.background_energy_pj, p.background_energy_pj, "background energy")?;
-        assert_same_bits(b.event_energy_pj, p.event_energy_pj, "event energy")?;
-
-        let validator = TraceValidator::new(*batched.device().timing(), *batched.device().geometry());
-        let violations = validator.check(trace);
-        prop_assert!(
-            violations.is_empty(),
-            "batched trace has illegal commands: {:?}",
-            &violations[..violations.len().min(3)]
-        );
+    /// The same with neither device keeping a trace: the untraced branch
+    /// of the batched runs.
+    #[test]
+    fn untraced_batched_idle_runs_match_per_command_issue(
+        clock in arb_clock(),
+        pd_after in 1u64..=64,
+        pressure in 1u64..=4,
+        reqs in prop::collection::vec(arb_request(), 1..6),
+        horizon_milli_refi in arb_horizon_milli_refi(),
+    ) {
+        check_parity(clock, pd_after, pressure, &reqs, horizon_milli_refi, false)?;
     }
 }

@@ -358,12 +358,18 @@ impl BankCluster {
             };
         }
         match cmd {
-            DramCommand::Activate { bank, .. } => {
+            DramCommand::Activate { bank, row } => {
                 let b = self.bank(bank)?;
                 if b.is_active() {
                     return Err(DramError::IllegalCommand {
                         cmd,
                         reason: format!("bank {bank} already has an open row"),
+                    });
+                }
+                if row >= self.geometry.rows {
+                    return Err(DramError::IllegalCommand {
+                        cmd,
+                        reason: format!("row {row} out of range"),
                     });
                 }
                 let mut earliest = base.max(b.earliest_act()).max(self.earliest_any_act);
@@ -470,7 +476,7 @@ impl BankCluster {
                 earliest: self.last_state_cycle,
             });
         }
-        self.apply(cmd, cycle)
+        Ok(self.apply(cmd, cycle))
     }
 
     /// Schedules and commits `cmd` in one pass: computes the earliest legal
@@ -489,7 +495,7 @@ impl BankCluster {
         // `earliest_issue` never returns before `earliest_cmd`, which every
         // commit pushes past itself, so program order holds by construction.
         debug_assert!(cycle >= self.last_state_cycle);
-        let outcome = self.apply(cmd, cycle)?;
+        let outcome = self.apply(cmd, cycle);
         Ok((cycle, outcome))
     }
 
@@ -705,6 +711,16 @@ impl BankCluster {
     /// are exactly those of issuing the same sequence one command at a time
     /// through [`BankCluster::issue_at_earliest`].
     ///
+    /// Once a period repeats, the rest run as their energy additions alone.
+    /// A period runs from one top (the device powered down, the refresh due
+    /// at `due` next) to the next. When a period was exactly PDX → REF → PDE
+    /// and the command bus, the power-down entry and the ACT watermark sit
+    /// where they sat at its top, shifted by `t_refi` with `due`, every later
+    /// period is the same period shifted by `t_refi` until the target binds.
+    /// The data bus cannot bind, since the last PDE is already past it. The
+    /// whole periods that fit before `target` then cost the account's calls
+    /// alone, with no division per period.
+    ///
     /// Runs only when the device is powered down with every bank closed and
     /// no observability attached; otherwise it issues nothing and returns
     /// `None`.
@@ -727,6 +743,11 @@ impl BankCluster {
         // is awake in the run only after a REF, whose tRFC end `act_ready`
         // then is: where the idle count towards PDE restarts.
         let mut act_ready = self.banks.iter().map(Bank::earliest_act).max().unwrap_or(0);
+        // The last period top's `[due, earliest_cmd, pd_since, act_ready]`;
+        // the cycles of the current period's PDX, REF and PDE, and the
+        // PDE's `pde_at`.
+        let mut top: Option<[u64; 4]> = None;
+        let mut period = [0; 4];
         loop {
             let pde_at = if self.powered_down {
                 u64::MAX
@@ -738,12 +759,32 @@ impl BankCluster {
             }
             if due <= pde_at {
                 if self.powered_down {
+                    // `due` one `t_refi` on means one REF since the last
+                    // top: the period was exactly PDX → REF → PDE.
+                    let now = [due, self.earliest_cmd, self.pd_since, act_ready];
+                    let repeats = top.is_some_and(|last| {
+                        (0..4).all(|i| last[i].checked_add(t_refi) == Some(now[i]))
+                    });
+                    if repeats {
+                        if let Some(k) = self.repeat_idle_period(period, t_refi, target, act_ready)
+                        {
+                            let shift = k * t_refi;
+                            due = due.saturating_add(shift);
+                            act_ready += shift;
+                            run.refreshes += k;
+                            run.exits += k;
+                            top = None;
+                            continue;
+                        }
+                    }
+                    top = Some(now);
                     let c = self.earliest_cmd.max(due).max(self.pd_since + t.t_cke_min);
                     self.log_command(DramCommand::PowerDownExit, c);
                     self.powered_down = false;
                     self.earliest_cmd = self.earliest_cmd.max(c + t.t_xp).max(c + 1);
                     self.switch_background(BackgroundState::PrechargeStandby, c);
                     run.exits += 1;
+                    period[0] = c;
                 }
                 let c = self.earliest_cmd.max(due).max(act_ready);
                 self.log_command(DramCommand::Refresh, c);
@@ -753,6 +794,7 @@ impl BankCluster {
                 self.stats.refreshes += 1;
                 run.refreshes += 1;
                 due = due.saturating_add(t_refi);
+                period[1] = c;
             } else {
                 let c = self.earliest_cmd.max(pde_at).max(self.data_busy_until);
                 self.log_command(DramCommand::PowerDownEnter, c);
@@ -761,6 +803,8 @@ impl BankCluster {
                 self.stats.power_downs += 1;
                 self.earliest_cmd = self.earliest_cmd.max(c + 1);
                 self.switch_background(BackgroundState::PrechargePowerDown, c);
+                period[2] = c;
+                period[3] = pde_at;
             }
         }
         if run.refreshes > 0 {
@@ -769,6 +813,62 @@ impl BankCluster {
             }
         }
         Some(run)
+    }
+
+    /// Repeats the idle period that just ended, shifted by `t_refi` each
+    /// time, as often as [`BankCluster::idle_refresh_run`] would issue it
+    /// whole before `target`: while its `pde_at` falls before the target.
+    /// `period` holds that period's PDX, REF and PDE cycles and the PDE's
+    /// `pde_at`; `act_ready` is the run's ACT watermark at the top.
+    ///
+    /// Each repeat calls the energy account as per-command issue does, in
+    /// its order (leave power-down, record one refresh, enter power-down),
+    /// at times from [`mcm_sim::ClockDomain::cycle_times`], so the account's
+    /// f64 bits are those of per-command issue. A kept trace gets each
+    /// repeat's three entries. Returns the number of repeats, or `None`,
+    /// having issued nothing, when there are none or a shifted cycle would
+    /// not fit in a `u64`.
+    fn repeat_idle_period(
+        &mut self,
+        period: [u64; 4],
+        t_refi: u64,
+        target: u64,
+        act_ready: u64,
+    ) -> Option<u64> {
+        let [exit, refresh, entry, pde_at] = period;
+        let next_pde_at = pde_at.checked_add(t_refi).filter(|&at| at < target)?;
+        let k = (target - 1 - next_pde_at) / t_refi + 1;
+        let shift = k.checked_mul(t_refi)?;
+        let earliest_cmd = self.earliest_cmd.checked_add(shift)?;
+        let last_entry = entry.checked_add(shift)?;
+        act_ready.checked_add(shift)?;
+        let clock = self.timing.clock;
+        let exits = clock.cycle_times(exit + t_refi, t_refi);
+        let entries = clock.cycle_times(entry + t_refi, t_refi);
+        for (_, (exit_at, entry_at)) in (0..k).zip(exits.zip(entries)) {
+            self.energy
+                .switch_state(BackgroundState::PrechargeStandby, exit_at);
+            self.energy.record_refresh();
+            self.energy
+                .switch_state(BackgroundState::PrechargePowerDown, entry_at);
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.extend((1..=k).flat_map(|j| {
+                let d = j * t_refi;
+                [
+                    (exit + d, DramCommand::PowerDownExit),
+                    (refresh + d, DramCommand::Refresh),
+                    (entry + d, DramCommand::PowerDownEnter),
+                ]
+                .map(|(cycle, cmd)| crate::validate::TracedCommand { cycle, cmd })
+            }));
+        }
+        self.earliest_cmd = earliest_cmd;
+        self.pd_since = last_entry;
+        self.last_state_cycle = last_entry;
+        self.stats.refreshes += k;
+        self.stats.power_downs += k;
+        Some(k)
     }
 
     /// `(extra tRCD, extra tRP)` for `bank`; `(0, 0)` when healthy.
@@ -780,7 +880,7 @@ impl BankCluster {
     /// Commits an already-validated command: mutates bank/bus/power state,
     /// stats and energy. `cycle` must satisfy `earliest_issue` and program
     /// order; both entry points guarantee it.
-    fn apply(&mut self, cmd: DramCommand, cycle: u64) -> Result<IssueOutcome, DramError> {
+    fn apply(&mut self, cmd: DramCommand, cycle: u64) -> IssueOutcome {
         self.log_command(cmd, cycle);
         let t = self.timing;
         let mut outcome = IssueOutcome {
@@ -788,12 +888,6 @@ impl BankCluster {
         };
         match cmd {
             DramCommand::Activate { bank, row } => {
-                if row >= self.geometry.rows {
-                    return Err(DramError::IllegalCommand {
-                        cmd,
-                        reason: format!("row {row} out of range"),
-                    });
-                }
                 let t_rcd = t.t_rcd + self.penalty_of(bank as usize).0;
                 self.banks[bank as usize].apply_activate(cycle, row, t_rcd, t.t_ras, t.t_rc);
                 self.open_banks += 1;
@@ -893,7 +987,7 @@ impl BankCluster {
             BackgroundState::from_flags(self.open_banks > 0, self.powered_down)
         };
         self.switch_background(state, cycle);
-        Ok(outcome)
+        outcome
     }
 
     /// Records an ACT at `cycle` in the four-activate (tFAW) ring.
@@ -1276,49 +1370,133 @@ mod tests {
         }
     }
 
+    /// Runs `idle_refresh_run` on `device` and the documented sequence on a
+    /// copy of it, one command at a time, and asserts that both issued the
+    /// same commands at the same cycles and left the same state and energy
+    /// bits.
+    fn assert_idle_run_matches(
+        device: &BankCluster,
+        first_due: u64,
+        t_refi: u64,
+        pd_after: u64,
+        target: u64,
+        case: &str,
+    ) {
+        let mut b = device.clone();
+        let mut r = device.clone();
+        let batched = b
+            .idle_refresh_run(first_due, t_refi, pd_after, target)
+            .unwrap();
+        let reference = idle_run_per_command(&mut r, first_due, t_refi, pd_after, target);
+        assert_eq!(batched, reference, "{case}");
+        assert_eq!(b.trace.take(), r.trace.take(), "{case}");
+        // Debug prints every other field, f64s in round-trip form: banks,
+        // buses, power state, stats and energy.
+        assert_eq!(format!("{b:?}"), format!("{r:?}"), "{case}");
+        let end = target + 500;
+        assert_eq!(
+            b.total_energy_pj(end).to_bits(),
+            r.total_energy_pj(end).to_bits(),
+            "{case}"
+        );
+    }
+
     /// Refresh intervals from shorter than tRFC (back-to-back refreshes)
     /// through ties between the next refresh and power-down entry (the
     /// refresh wins) to long power-down stretches, at whole and fractional
-    /// picosecond clock periods: the same commands, cycles, state and
-    /// energy bits as per-command issue.
+    /// picosecond clock periods, with targets tens to thousands of periods
+    /// away (the repeating periods' fast path), the last one mid-period:
+    /// the same commands, cycles, state and energy bits as per-command
+    /// issue.
     #[test]
     fn idle_refresh_run_matches_per_command_issue() {
         for clock in [266, 400] {
+            // A row opened and closed just before power-down: the first
+            // refresh waits for its ACT watermark.
+            let mut c = BankCluster::new(&ClusterConfig::next_gen_mobile_ddr(clock)).unwrap();
+            c.enable_trace();
+            c.issue(DramCommand::Activate { bank: 2, row: 9 }, 0)
+                .unwrap();
+            let pre = c
+                .earliest_issue(DramCommand::Precharge { bank: 2 }, 0)
+                .unwrap();
+            c.issue(DramCommand::Precharge { bank: 2 }, pre).unwrap();
+            c.issue(DramCommand::PowerDownEnter, pre + 1).unwrap();
+            let first_due = 10;
             for t_refi in 1..=120 {
                 for pd_after in [0, 1, 5, 30, 64] {
-                    // A row opened and closed just before power-down: the
-                    // first refresh waits for its ACT watermark.
-                    let mut runs = [(); 2].map(|_| {
-                        let mut c =
-                            BankCluster::new(&ClusterConfig::next_gen_mobile_ddr(clock)).unwrap();
-                        c.enable_trace();
-                        c.issue(DramCommand::Activate { bank: 2, row: 9 }, 0)
-                            .unwrap();
-                        let pre = c
-                            .earliest_issue(DramCommand::Precharge { bank: 2 }, 0)
-                            .unwrap();
-                        c.issue(DramCommand::Precharge { bank: 2 }, pre).unwrap();
-                        c.issue(DramCommand::PowerDownEnter, pre + 1).unwrap();
-                        c
-                    });
-                    let (first_due, target) = (10, 3_000);
-                    let batched = runs[0]
-                        .idle_refresh_run(first_due, t_refi, pd_after, target)
-                        .unwrap();
-                    let reference =
-                        idle_run_per_command(&mut runs[1], first_due, t_refi, pd_after, target);
-                    let [b, r] = &mut runs;
-                    let case = format!("{clock} MHz, tREFI {t_refi}, PDE after {pd_after}");
-                    assert_eq!(batched, reference, "{case}");
-                    // Debug prints every field, f64s in round-trip form:
-                    // banks, buses, power state, stats, trace and energy.
-                    assert_eq!(format!("{b:?}"), format!("{r:?}"), "{case}");
-                    let end = target + 500;
-                    assert_eq!(
-                        b.total_energy_pj(end).to_bits(),
-                        r.total_energy_pj(end).to_bits(),
-                        "{case}"
-                    );
+                    for target in [3_000, first_due + 4_000 * t_refi + t_refi / 2] {
+                        let case = format!(
+                            "{clock} MHz, tREFI {t_refi}, PDE after {pd_after}, target {target}"
+                        );
+                        assert_idle_run_matches(&c, first_due, t_refi, pd_after, target, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A device with bank 2's row opened and closed, that bank's next ACT
+    /// held back `extra_trp` cycles past tRP: returns it and the bank's ACT
+    /// watermark.
+    fn slow_precharged(clock: u64, extra_trp: u64) -> (BankCluster, u64) {
+        let mut c = BankCluster::new(&ClusterConfig::next_gen_mobile_ddr(clock)).unwrap();
+        c.enable_trace();
+        c.set_bank_penalty(2, 0, extra_trp).unwrap();
+        c.issue(DramCommand::Activate { bank: 2, row: 9 }, 0)
+            .unwrap();
+        let pre = c
+            .earliest_issue(DramCommand::Precharge { bank: 2 }, 0)
+            .unwrap();
+        c.issue(DramCommand::Precharge { bank: 2 }, pre).unwrap();
+        let ready = pre + c.timing().t_rp + extra_trp;
+        (c, ready)
+    }
+
+    /// First tops whose next period differs from the first in one field of
+    /// the compared state alone, each built exactly:
+    /// - a slow bank's long tRP holds the first refresh back to the bank's
+    ///   ACT watermark; powered down one tREFI before the entry that the
+    ///   first period then makes, the device reaches the next top with the
+    ///   command bus, the power-down entry and the due refresh one tREFI on,
+    ///   and only the ACT watermark differs;
+    /// - a refresh already due at power-down makes the first period issue
+    ///   two refreshes; with tREFI that period's length, only the due
+    ///   refresh is two tREFI on instead of one.
+    #[test]
+    fn idle_refresh_run_spots_a_period_that_differs() {
+        for clock in [266, 400] {
+            for pd_after in [0, 5, 40] {
+                for extra_trp in [300, 500] {
+                    let (c, ready) = slow_precharged(clock, extra_trp);
+                    let t = *c.timing();
+                    for (t_refi, jitter) in [150, 200, 300].into_iter().zip(0..3) {
+                        let mut c = c.clone();
+                        let pde = ready + t.t_rfc + pd_after + jitter - t_refi;
+                        c.issue(DramCommand::PowerDownEnter, pde).unwrap();
+                        for due_back in [1, 20, 50] {
+                            let first_due = ready - due_back;
+                            let target = first_due + 40 * t_refi + 7;
+                            let case = format!(
+                                "held back: {clock} MHz, tREFI {t_refi}, PDE after {pd_after}, \
+                                 extra tRP {extra_trp}, jitter {jitter}, due {due_back} early"
+                            );
+                            assert_idle_run_matches(&c, first_due, t_refi, pd_after, target, &case);
+                        }
+                    }
+                    let mut c = c.clone();
+                    let pde = ready + pd_after;
+                    c.issue(DramCommand::PowerDownEnter, pde).unwrap();
+                    let t_refi = t.t_cke_min + t.t_xp + 2 * t.t_rfc + pd_after;
+                    for back in [pd_after, pd_after + 7] {
+                        let first_due = pde - t.t_rfc - back;
+                        let target = first_due + 40 * t_refi + 7;
+                        let case = format!(
+                            "overdue: {clock} MHz, PDE after {pd_after}, \
+                             extra tRP {extra_trp}, due {back} before PDE − tRFC"
+                        );
+                        assert_idle_run_matches(&c, first_due, t_refi, pd_after, target, &case);
+                    }
                 }
             }
         }
@@ -1489,6 +1667,37 @@ mod tests {
             assert_eq!(err, reference_err, "bank {bank}, row {row}");
             assert_eq!(format!("{run:?}"), format!("{reference:?}"));
         }
+    }
+
+    /// An ACT to a row past the device is refused before anything is
+    /// committed, through either entry point: no trace entry and no
+    /// program-order watermark, so an ACT at an earlier cycle still issues.
+    #[test]
+    fn a_refused_activate_leaves_no_trace() {
+        let mut fresh = cluster();
+        fresh.enable_trace();
+        let bad = DramCommand::Activate { bank: 0, row: 8192 };
+        let good = DramCommand::Activate { bank: 0, row: 1 };
+        let mut c = fresh.clone();
+        assert!(matches!(
+            c.issue(bad, 5),
+            Err(DramError::IllegalCommand { .. })
+        ));
+        assert_eq!(format!("{c:?}"), format!("{fresh:?}"));
+        c.issue(good, 2).unwrap();
+        let issued = crate::validate::TracedCommand {
+            cycle: 2,
+            cmd: good,
+        };
+        assert_eq!(c.trace(), Some(&[issued][..]));
+        let mut c = fresh.clone();
+        assert!(matches!(
+            c.issue_at_earliest(bad, 5),
+            Err(DramError::IllegalCommand { .. })
+        ));
+        assert_eq!(format!("{c:?}"), format!("{fresh:?}"));
+        assert_eq!(c.issue_at_earliest(good, 2).unwrap().0, 2);
+        assert_eq!(c.trace(), Some(&[issued][..]));
     }
 
     #[test]

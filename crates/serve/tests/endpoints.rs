@@ -230,6 +230,25 @@ fn health_routing_and_refusals() {
     h.shutdown();
 }
 
+/// A body of 100 000 `[` (100 KB, under the body cap) is refused with a
+/// 400 naming the nesting cap, and the server answers the next client: the
+/// parser used to recurse once per level and overflow the stack of the
+/// thread that reads requests, aborting the process.
+#[test]
+fn deeply_nested_json_is_refused() {
+    let h = Harness::start("nested", 1);
+    let reply = h.call("POST", "/runs", Some(&"[".repeat(100_000)));
+    assert_eq!(reply.status, 400, "{:?}", reply.body);
+    let error = reply.body.get("error").and_then(|v| v.as_str());
+    assert!(
+        error.is_some_and(|e| e.contains("nesting deeper than 128 levels")),
+        "{error:?}"
+    );
+    assert_eq!(h.call("GET", "/healthz", None).status, 200);
+    assert_eq!(h.simulated_points(), 0, "a refused body queues nothing");
+    h.shutdown();
+}
+
 /// A 64 KiB request line with no newline, on a connection the client keeps
 /// open: the server refuses it as soon as the 16 KiB header cap is crossed
 /// instead of waiting out its 10 s read timeout, and serves the next

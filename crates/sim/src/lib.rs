@@ -37,4 +37,4 @@ mod time;
 
 pub use engine::{Component, ComponentId, Ctx, SimError, Simulation};
 pub use queue::QueueKind;
-pub use time::{ClockDomain, Frequency, SimTime, ZeroFrequencyError};
+pub use time::{ClockDomain, CycleTimes, Frequency, SimTime, ZeroFrequencyError};

@@ -358,6 +358,25 @@ impl ClockDomain {
         SimTime::from_ps(ps)
     }
 
+    /// The times of cycles `start`, `start + step`, `start + 2·step`, …,
+    /// each equal to [`ClockDomain::time_of_cycles`] of its cycle, with one
+    /// division here and none per step; see [`CycleTimes`].
+    pub fn cycle_times(self, start: u64, step: u64) -> CycleTimes {
+        let (num, den) = (u128::from(self.num), u128::from(self.den));
+        // The products fit: both factors are below 2^64 and num ≤ 10^12.
+        let at = u128::from(start) * num + den / 2;
+        let by = u128::from(step) * num;
+        // Quotients are kept modulo 2^64, as `time_of_cycles` truncates a
+        // time beyond `SimTime`'s range; remainders are below `den`.
+        CycleTimes {
+            ps: (at / den) as u64,
+            rem: (at % den) as u64,
+            step_ps: (by / den) as u64,
+            step_rem: (by % den) as u64,
+            den: self.den,
+        }
+    }
+
     /// Absolute time of half-cycle index `half_cycles` (two half-cycles per
     /// clock cycle; DDR data beats occupy one half-cycle each).
     #[inline]
@@ -419,6 +438,43 @@ impl ClockDomain {
         } else {
             cycles.ceil() as u64
         }
+    }
+}
+
+/// The times of the cycles `c`, `c + T`, `c + 2T`, … on one clock, made by
+/// [`ClockDomain::cycle_times`]: an endless iterator whose every item equals
+/// [`ClockDomain::time_of_cycles`] of its cycle.
+///
+/// It keeps the quotient and remainder of `c·num + ⌊den/2⌋` over `den`
+/// (`num / den` the reduced period) for the current cycle `c`. A step adds
+/// the quotient and remainder of `T·num` over `den` and carries one when
+/// the remainders reach `den`: two additions and a compare, no division.
+#[derive(Debug, Clone)]
+pub struct CycleTimes {
+    ps: u64,
+    rem: u64,
+    step_ps: u64,
+    step_rem: u64,
+    den: u64,
+}
+
+impl Iterator for CycleTimes {
+    type Item = SimTime;
+
+    #[inline]
+    fn next(&mut self) -> Option<SimTime> {
+        let at = SimTime::from_ps(self.ps);
+        // rem + step_rem ≥ den, written so that it cannot overflow.
+        let carry = self.rem >= self.den - self.step_rem;
+        self.rem =
+            self.rem
+                .wrapping_add(self.step_rem)
+                .wrapping_sub(if carry { self.den } else { 0 });
+        self.ps = self
+            .ps
+            .wrapping_add(self.step_ps)
+            .wrapping_add(u64::from(carry));
+        Some(at)
     }
 }
 
@@ -577,6 +633,48 @@ mod tests {
                     .chain(spread)
                     .chain([1_000_003, 533_000_000, 1 << 40]),
             );
+        }
+    }
+
+    /// The stepper lands on the 128-bit `time_of_cycles` formula at every
+    /// step, at every integer MHz, from pseudo-random starts and steps of
+    /// every magnitude and from starts on both sides of the u64 boundary
+    /// where `time_of_cycles` switches to 128-bit arithmetic.
+    #[test]
+    fn cycle_times_match_the_128_bit_formula_at_every_integer_mhz() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for mhz in 1..=2_000u64 {
+            let hz = mhz * 1_000_000;
+            let clk = ClockDomain::new(Frequency::from_hz(hz)).unwrap();
+            let boundary = (u64::MAX - clk.den / 2) / clk.num;
+            // Starts below 2^63 and steps below 2^40 keep 16 steps in range.
+            let walks = [
+                (0, 1),
+                (boundary - 8, 1),
+                (draw() >> 20, (draw() >> 40).max(1)),
+                (
+                    draw() >> (1 + draw() % 63),
+                    (draw() >> (24 + draw() % 40)).max(1),
+                ),
+            ];
+            for (start, step) in walks {
+                let times = clk.cycle_times(start, step).take(17);
+                for (k, at) in (0..).zip(times) {
+                    let cycle = start + k * step;
+                    assert_eq!(
+                        at.as_ps(),
+                        reference(hz, cycle).0,
+                        "{mhz} MHz, start {start}, step {step}, k {k}"
+                    );
+                    assert_eq!(at, clk.time_of_cycles(cycle));
+                }
+            }
         }
     }
 
