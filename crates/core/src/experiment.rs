@@ -137,19 +137,19 @@ pub struct Experiment {
 // keep their exact byte representation; field order matches declaration
 // order, the same shape the former derive produced.
 impl Serialize for Experiment {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("use_case".to_string(), self.use_case.to_value());
-        m.insert("memory".to_string(), self.memory.to_value());
-        m.insert("chunk".to_string(), self.chunk.to_value());
-        m.insert("pacing".to_string(), self.pacing.to_value());
-        m.insert("margin".to_string(), self.margin.to_value());
-        m.insert("interface".to_string(), self.interface.to_value());
-        m.insert("op_limit".to_string(), self.op_limit.to_value());
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("use_case", &self.use_case);
+        s.field("memory", &self.memory);
+        s.field("chunk", &self.chunk);
+        s.field("pacing", &self.pacing);
+        s.field("margin", &self.margin);
+        s.field("interface", &self.interface);
+        s.field("op_limit", &self.op_limit);
         if !self.workload.is_default() {
-            m.insert("workload".to_string(), self.workload.to_value());
+            s.field("workload", &self.workload);
         }
-        serde::Value::Object(m)
+        s.end_object();
     }
 }
 
@@ -246,17 +246,17 @@ impl PartialEq for RunOptions {
 impl Eq for RunOptions {}
 
 impl Serialize for RunOptions {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("verify".to_string(), self.verify.to_value());
-        m.insert("frames".to_string(), self.frames.to_value());
-        m.insert("op_limit".to_string(), self.op_limit.to_value());
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("verify", &self.verify);
+        s.field("frames", &self.frames);
+        s.field("op_limit", &self.op_limit);
         // Written only when set so healthy runs keep their pre-fault
         // serialization (and therefore their sweep cache fingerprints).
         if let Some(plan) = &self.faults {
-            m.insert("faults".to_string(), plan.to_value());
+            s.field("faults", plan);
         }
-        serde::Value::Object(m)
+        s.end_object();
     }
 }
 

@@ -214,8 +214,8 @@ impl fmt::Display for Workload {
 }
 
 impl Serialize for Workload {
-    fn to_value(&self) -> Value {
-        Value::String(self.name())
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        s.str(&self.name());
     }
 }
 
@@ -251,7 +251,8 @@ mod tests {
         for w in cases {
             assert_eq!(Workload::parse(&w.name()).unwrap(), w, "{w}");
             // Serde round-trip through the string form.
-            let v = w.to_value();
+            let v = serde::to_value(&w);
+            assert_eq!(v, Value::String(w.name()));
             assert_eq!(Workload::from_value(&v).unwrap(), w);
         }
     }

@@ -35,7 +35,7 @@ use mcm_sweep::{
     content_key, Executor, JobId, JobSnapshot, JobState, PointRecord, SweepError, SweepOptions,
     WorkItem, WorkOutcome,
 };
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// Per-request socket timeout, mirroring the server's.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -260,7 +260,7 @@ impl Executor for ServeExecutor {
                     Some(plan) => options.run.clone().with_faults(plan.clone()),
                     None => options.run.clone(),
                 };
-                let key = content_key(&item.experiment, &point_run).ok()?;
+                let Ok(key) = content_key(&item.experiment, &point_run);
                 Some((key, log.lookup(key)?))
             });
             match hit {
@@ -449,20 +449,20 @@ fn batch_body(items: &[WorkItem], options: &SweepOptions) -> serde::Value {
         .iter()
         .map(|item| {
             let mut m = serde::Map::new();
-            m.insert("label".to_string(), item.label.to_value());
-            m.insert("experiment".to_string(), item.experiment.to_value());
+            m.insert("label".to_string(), serde::to_value(&item.label));
+            m.insert("experiment".to_string(), serde::to_value(&item.experiment));
             if let Some(plan) = &item.faults {
-                m.insert("faults".to_string(), plan.to_value());
+                m.insert("faults".to_string(), serde::to_value(plan));
             }
             serde::Value::Object(m)
         })
         .collect();
     let mut body = serde::Map::new();
     body.insert("items".to_string(), serde::Value::Array(wire_items));
-    body.insert("run".to_string(), options.run.to_value());
-    body.insert("prelint".to_string(), options.prelint.to_value());
+    body.insert("run".to_string(), serde::to_value(&options.run));
+    body.insert("prelint".to_string(), serde::Value::Bool(options.prelint));
     if let Some(threads) = options.threads {
-        body.insert("threads".to_string(), (threads as u64).to_value());
+        body.insert("threads".to_string(), serde::to_value(&threads));
     }
     serde::Value::Object(body)
 }
@@ -493,7 +493,7 @@ fn parse_outcome(doc: &serde::Value) -> WorkOutcome {
         }),
         Some(record) => PointRecord::from_value(record).map_err(|e| SweepError::Remote {
             context: label.clone(),
-            message: format!("unparseable record: {e:?}"),
+            message: format!("unparseable record: {e}"),
         }),
     };
     let elapsed = doc
@@ -536,7 +536,7 @@ fn http_exchange(
         .set_write_timeout(Some(IO_TIMEOUT))
         .map_err(|e| e.to_string())?;
     let payload = match body {
-        Some(v) => serde_json::to_string(v).map_err(|e| format!("request body: {e:?}"))?,
+        Some(v) => serde_json::to_string(v).expect("a value tree always serializes"),
         None => String::new(),
     };
     let head = format!(
@@ -565,8 +565,7 @@ fn http_exchange(
     let value = if body_text.trim().is_empty() {
         serde::Value::Null
     } else {
-        serde_json::from_str(body_text.trim())
-            .map_err(|e| format!("response is not JSON: {e:?}"))?
+        serde_json::from_str(body_text.trim()).map_err(|e| format!("response is not JSON: {e}"))?
     };
     Ok((status, value))
 }

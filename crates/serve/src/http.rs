@@ -28,7 +28,7 @@ impl Request {
             return Ok(serde::Value::Null);
         }
         let text = std::str::from_utf8(&self.body).map_err(|_| "body is not UTF-8".to_string())?;
-        serde_json::from_str(text).map_err(|e| format!("body is not JSON: {e:?}"))
+        serde_json::from_str(text).map_err(|e| format!("body is not JSON: {e}"))
     }
 }
 

@@ -224,10 +224,7 @@ impl Server {
             Some(plan) => run.clone().with_faults(plan.clone()),
             None => run.clone(),
         };
-        let key = match content_key(&experiment, &keyed_run) {
-            Ok(k) => k,
-            Err(e) => return (500, error_body(format!("cannot key submission: {e}"))),
-        };
+        let Ok(key) = content_key(&experiment, &keyed_run);
         if let Some(record) = self.store.get(key) {
             let id = self.table.instant_run(&label, key, &record);
             let mut doc = self
@@ -331,7 +328,7 @@ impl Server {
             None => RunOptions::default(),
             Some(v) => match RunOptions::from_value(v) {
                 Ok(r) => r,
-                Err(e) => return (400, error_body(format!("bad `run` options: {e:?}"))),
+                Err(e) => return (400, error_body(format!("bad `run` options: {e}"))),
             },
         };
         let total = items.len();
@@ -406,7 +403,7 @@ fn parse_batch_item(raw: &serde::Value) -> Result<WorkItem, String> {
         .to_string();
     let experiment = raw.get("experiment").ok_or("missing `experiment`")?;
     let experiment =
-        Experiment::from_value(experiment).map_err(|e| format!("bad experiment: {e:?}"))?;
+        Experiment::from_value(experiment).map_err(|e| format!("bad experiment: {e}"))?;
     // No fit validation here, unlike `/runs` and `/sweeps`: a local
     // executor would accept any well-formed plan and let the engine
     // produce its verdict, and remote outcomes must match point for
@@ -414,8 +411,7 @@ fn parse_batch_item(raw: &serde::Value) -> Result<WorkItem, String> {
     let faults = match raw.get("faults") {
         None | Some(serde::Value::Null) => None,
         Some(value) => Some(
-            mcm_fault::FaultPlan::from_value(value)
-                .map_err(|e| format!("bad fault plan: {e:?}"))?,
+            mcm_fault::FaultPlan::from_value(value).map_err(|e| format!("bad fault plan: {e}"))?,
         ),
     };
     let mut item = WorkItem::new(label, experiment);
@@ -599,7 +595,7 @@ fn parse_faults(
         return Ok(None);
     }
     let plan =
-        mcm_fault::FaultPlan::from_value(value).map_err(|e| format!("bad fault plan: {e:?}"))?;
+        mcm_fault::FaultPlan::from_value(value).map_err(|e| format!("bad fault plan: {e}"))?;
     plan.validate(channels)
         .map_err(|e| format!("fault plan does not fit {channels} channel(s): {e}"))?;
     Ok(Some(plan))
@@ -609,8 +605,7 @@ fn parse_faults(
 /// so clients name only the axes they vary. Unknown axes are an error —
 /// a typo must not silently run the default grid.
 fn merge_spec(user: &serde::Value) -> Result<SweepSpec, String> {
-    let mut base = serde_json::to_value(&SweepSpec::default())
-        .map_err(|e| format!("cannot build default spec: {e:?}"))?;
+    let mut base = serde::to_value(&SweepSpec::default());
     match user {
         serde::Value::Null => {}
         serde::Value::Object(map) => {
@@ -626,7 +621,7 @@ fn merge_spec(user: &serde::Value) -> Result<SweepSpec, String> {
         }
         _ => return Err("sweep spec must be a JSON object".to_string()),
     }
-    SweepSpec::from_value(&base).map_err(|e| format!("bad sweep spec: {e:?}"))
+    SweepSpec::from_value(&base).map_err(|e| format!("bad sweep spec: {e}"))
 }
 
 #[cfg(test)]

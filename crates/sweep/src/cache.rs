@@ -44,8 +44,9 @@ impl ResultCache {
     /// [`content_key`](crate::content_key) over the experiment and its run
     /// options. Two points share a fingerprint iff their full
     /// configurations are identical.
-    pub fn fingerprint(exp: &Experiment, run: &RunOptions) -> Result<u64, SweepError> {
-        content_key(exp, run)
+    pub fn fingerprint(exp: &Experiment, run: &RunOptions) -> u64 {
+        let Ok(key) = content_key(exp, run);
+        key
     }
 
     fn entry_path(&self, fingerprint: u64) -> PathBuf {
@@ -62,10 +63,7 @@ impl ResultCache {
     /// Stores a record under its fingerprint.
     pub fn store(&self, fingerprint: u64, record: &PointRecord) -> Result<(), SweepError> {
         let path = self.entry_path(fingerprint);
-        let json = serde_json::to_string_pretty(record).map_err(|e| SweepError::Cache {
-            path: path.display().to_string(),
-            message: format!("{e:?}"),
-        })?;
+        let json = serde_json::to_string_pretty(record).expect("a record always serializes");
         fs::write(&path, json).map_err(|e| SweepError::Cache {
             path: path.display().to_string(),
             message: e.to_string(),
@@ -103,14 +101,11 @@ mod tests {
         let a = Experiment::paper(HdOperatingPoint::Hd720p30, 4, 400);
         let b = Experiment::paper(HdOperatingPoint::Hd720p30, 8, 400);
         let run = RunOptions::default();
-        let fa = ResultCache::fingerprint(&a, &run).unwrap();
-        assert_eq!(fa, ResultCache::fingerprint(&a, &run).unwrap());
-        assert_ne!(fa, ResultCache::fingerprint(&b, &run).unwrap());
+        let fa = ResultCache::fingerprint(&a, &run);
+        assert_eq!(fa, ResultCache::fingerprint(&a, &run));
+        assert_ne!(fa, ResultCache::fingerprint(&b, &run));
         // Run options are part of the key.
-        assert_ne!(
-            fa,
-            ResultCache::fingerprint(&a, &RunOptions::verified()).unwrap()
-        );
+        assert_ne!(fa, ResultCache::fingerprint(&a, &RunOptions::verified()));
     }
 
     #[test]
@@ -123,7 +118,7 @@ mod tests {
                 .map(|o| o.into_frame().expect("single-frame outcome")),
         )
         .unwrap();
-        let fp = ResultCache::fingerprint(&exp, &RunOptions::default()).unwrap();
+        let fp = ResultCache::fingerprint(&exp, &RunOptions::default());
         assert!(cache.load(fp).is_none());
         cache.store(fp, &record).unwrap();
         assert_eq!(cache.load(fp), Some(record));

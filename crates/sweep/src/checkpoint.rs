@@ -51,7 +51,7 @@ impl Header {
 
     fn from_json(line: &str) -> Result<Header, String> {
         let v: serde::Value =
-            serde_json::from_str(line).map_err(|e| format!("header is not JSON: {e:?}"))?;
+            serde_json::from_str(line).map_err(|e| format!("header is not JSON: {e}"))?;
         if v.get("mcm_checkpoint").and_then(|m| m.as_u64()) != Some(1) {
             return Err("not a checkpoint log (missing `mcm_checkpoint` marker)".to_string());
         }
@@ -124,7 +124,7 @@ impl CheckpointLog {
     ) -> Result<CheckpointLog, SweepError> {
         let path = path.into();
         let header = Header {
-            spec_hash: spec_hash(spec)?,
+            spec_hash: spec_hash(spec),
             key_schema: KEY_SCHEMA_VERSION,
             total: spec.len(),
         };
@@ -247,7 +247,7 @@ impl CheckpointLog {
         // document that lacks another's entry over the log.
         let entries = self.inner.entries.lock().expect("checkpoint lock poisoned");
         for entry in entries.values() {
-            text.push_str(&serde_json::to_string(entry).map_err(|e| refuse(format!("{e:?}")))?);
+            serde::write_json(&mut text, entry, false);
             text.push('\n');
         }
         let tmp = self.inner.path.with_extension("tmp");
@@ -369,10 +369,33 @@ mod tests {
     fn garbage_files_are_refused() {
         let path = tmp_log("garbage");
         fs::write(&path, "not a checkpoint\n").unwrap();
-        assert!(matches!(
-            CheckpointLog::attach(&path, &spec(), false).unwrap_err(),
-            SweepError::Checkpoint { .. }
-        ));
+        let e = CheckpointLog::attach(&path, &spec(), false).unwrap_err();
+        assert!(matches!(e, SweepError::Checkpoint { .. }));
+        // The parse error reads as its message, not as the error's `Debug`.
+        let message = e.to_string();
+        assert!(
+            message.ends_with("header is not JSON: unexpected character `n` at byte 0"),
+            "{message}"
+        );
+        assert!(!message.contains("Error {"), "{message}");
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn log_lines_write_the_same_text_streamed_and_as_a_tree() {
+        let entry = Entry {
+            key: format!("{:016x}", 0xabcu64),
+            label: "720p30/\"1ch\"".to_string(),
+            record: record(),
+        };
+        let tree = serde_json::to_value(&entry).unwrap();
+        assert_eq!(
+            serde_json::to_string(&entry).unwrap(),
+            serde_json::to_string(&tree).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&entry).unwrap(),
+            serde_json::to_string_pretty(&tree).unwrap()
+        );
     }
 }

@@ -246,8 +246,7 @@ pub(crate) struct ExportRow {
 
 /// The one JSON renderer behind [`SweepResult::to_json`] and shard merging.
 pub(crate) fn rows_to_json(rows: &[ExportRow]) -> String {
-    let value = serde::Value::Array(rows.iter().map(|r| r.to_value()).collect());
-    serde_json::to_string_pretty(&value).expect("export rows are serializable")
+    serde_json::to_string_pretty(rows).expect("export rows are serializable")
 }
 
 /// The one CSV renderer behind [`SweepResult::to_csv`] and shard merging.
@@ -558,8 +557,12 @@ mod tests {
         };
         let base = SweepOptions::default().with_threads(1);
         let without = run_sweep_on(&RayonExecutor::default(), &spec, &base.clone()).unwrap();
-        let with =
-            run_sweep_on(&RayonExecutor::default(), &spec, &base.with_prelint(true)).unwrap();
+        let with = run_sweep_on(
+            &RayonExecutor::default(),
+            &spec,
+            &base.clone().with_prelint(true),
+        )
+        .unwrap();
 
         assert_eq!(without.stats.prelinted, 0);
         assert_eq!(without.stats.simulated, 4);
@@ -588,12 +591,32 @@ mod tests {
         }
 
         // The acceptance bar: pruning ≥ 30 % of the grid must make
-        // the sweep measurably faster than simulating everything.
+        // the sweep measurably faster than simulating everything. One wall
+        // time per side is at the mercy of whatever else runs on the host,
+        // so each side is the fastest of five runs, alternating which side
+        // goes first.
+        let wall = |prelint: bool| {
+            let options = base.clone().with_prelint(prelint);
+            run_sweep_on(&RayonExecutor::default(), &spec, &options)
+                .unwrap()
+                .stats
+                .wall
+        };
+        let (mut fastest_with, mut fastest_without) = (with.stats.wall, without.stats.wall);
+        for round in 0..4 {
+            let (w, wo) = if round % 2 == 0 {
+                let w = wall(true);
+                (w, wall(false))
+            } else {
+                let wo = wall(false);
+                (wall(true), wo)
+            };
+            fastest_with = fastest_with.min(w);
+            fastest_without = fastest_without.min(wo);
+        }
         assert!(
-            with.stats.wall < without.stats.wall,
-            "prelinted sweep ({:?}) not faster than full sweep ({:?})",
-            with.stats.wall,
-            without.stats.wall
+            fastest_with < fastest_without,
+            "prelinted sweep ({fastest_with:?}) not faster than full sweep ({fastest_without:?})"
         );
 
         // The stats line mentions pruning only when it happened.
@@ -624,6 +647,34 @@ mod tests {
         assert_eq!(result.stats.simulated, 1);
         assert!(result.points[0].prelinted, "healthy cell is pruned");
         assert!(!result.points[1].prelinted, "faulted cell must simulate");
+    }
+
+    #[test]
+    fn export_rows_write_the_same_text_streamed_and_as_a_tree() {
+        let mut rows = run_sweep_on(
+            &RayonExecutor::default(),
+            &quick_spec(),
+            &SweepOptions::default(),
+        )
+        .unwrap()
+        .export_rows();
+        rows.push(ExportRow {
+            label: "a \"failed\" cell".to_string(),
+            format: "1280x720@30".to_string(),
+            channels: 3,
+            clock_mhz: 0,
+            error: Some("bad experiment parameter:\n\tno".to_string()),
+            record: None,
+        });
+        let tree = serde_json::to_value(&rows).unwrap();
+        assert_eq!(
+            rows_to_json(&rows),
+            serde_json::to_string_pretty(&tree).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_string(&rows).unwrap(),
+            serde_json::to_string(&tree).unwrap()
+        );
     }
 
     #[test]

@@ -109,8 +109,8 @@ pub struct WorkOutcome {
     pub cached: bool,
     /// Whether the static analyzer answered this item (no simulation ran).
     pub prelinted: bool,
-    /// Shared content key ([`content_key`]) of this item, when computable.
-    /// Prelinted items carry `None` — they bypass the keyed store entirely.
+    /// Shared content key ([`content_key`]) of this item. Prelinted items
+    /// carry `None` — they bypass the keyed store entirely.
     pub key: Option<u64>,
     /// Whether the result came from the job's checkpoint log (a previous
     /// run of the same sweep completed this item before dying). Distinct
@@ -528,19 +528,13 @@ fn execute_item(
         Some(plan) => options.run.clone().with_faults(plan.clone()),
         None => options.run.clone(),
     };
-    let key = content_key(&item.experiment, &point_run).ok();
+    let Ok(key) = content_key(&item.experiment, &point_run);
     // The checkpoint log outranks the cache: a hit there proves *this
     // sweep* already completed the point before dying.
-    let mut hit = match (&options.checkpoint, key) {
-        (Some(log), Some(k)) => log.lookup(k),
-        _ => None,
-    };
+    let mut hit = options.checkpoint.as_ref().and_then(|log| log.lookup(key));
     let resumed = hit.is_some();
     if !resumed {
-        hit = match (cache, key) {
-            (Some(cache), Some(k)) => cache.load(k),
-            _ => None,
-        };
+        hit = cache.and_then(|cache| cache.load(key));
     }
     let cached = !resumed && hit.is_some();
     let outcome = match hit {
@@ -554,16 +548,16 @@ fn execute_item(
         }
     };
     if !cached && !resumed {
-        if let (Some(cache), Some(k), Ok(record)) = (cache, key, &outcome) {
+        if let (Some(cache), Ok(record)) = (cache, &outcome) {
             // Cache write failures degrade to uncached operation.
-            let _ = cache.store(k, record);
+            let _ = cache.store(key, record);
         }
     }
     if !resumed {
-        if let (Some(log), Some(k), Ok(record)) = (&options.checkpoint, key, &outcome) {
+        if let (Some(log), Ok(record)) = (&options.checkpoint, &outcome) {
             // Checkpoint write failures degrade to restart-from-scratch;
             // they never fail the point.
-            let _ = log.record(k, &item.label, record);
+            let _ = log.record(key, &item.label, record);
         }
     }
     WorkOutcome {
@@ -571,7 +565,7 @@ fn execute_item(
         outcome,
         cached,
         prelinted: false,
-        key,
+        key: Some(key),
         resumed,
         elapsed: started.elapsed(),
     }

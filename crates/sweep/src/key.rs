@@ -6,10 +6,14 @@
 //! ran under, chained with a schema version. Keeping the computation in one
 //! place means the two keyspaces cannot drift — a record written by a sweep
 //! is found by the server and vice versa.
+//!
+//! The JSON is hashed as it is written: the compact text writer streams
+//! into the hash, so no text or value tree is held.
+
+use std::convert::Infallible;
 
 use mcm_core::{Experiment, RunOptions};
-
-use crate::error::SweepError;
+use serde::Serialize;
 
 /// Bump when the keyed record layout or semantics change: old entries then
 /// miss instead of deserializing into the wrong shape.
@@ -22,42 +26,57 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// experiment, its run options and [`KEY_SCHEMA_VERSION`]. Two submissions
 /// share a key iff their full configurations are identical.
 ///
+/// Keying cannot fail. The error type is uninhabited, and the `Result` is
+/// kept so callers written against a fallible key (the benchmark's layer
+/// ledger among them) compile unchanged.
+///
 /// ```
 /// use mcm_core::{Experiment, RunOptions};
 /// use mcm_load::HdOperatingPoint;
 ///
 /// let exp = Experiment::paper(HdOperatingPoint::Hd720p30, 4, 400);
 /// let run = RunOptions::default();
-/// let a = mcm_sweep::content_key(&exp, &run).unwrap();
-/// let b = mcm_sweep::content_key(&exp, &run).unwrap();
+/// let Ok(a) = mcm_sweep::content_key(&exp, &run);
+/// let Ok(b) = mcm_sweep::content_key(&exp, &run);
 /// assert_eq!(a, b);
 /// ```
-pub fn content_key(exp: &Experiment, run: &RunOptions) -> Result<u64, SweepError> {
-    let json = serde_json::to_string(&(exp, run)).map_err(|e| SweepError::BadOptions {
-        reason: format!("unserializable experiment: {e:?}"),
-    })?;
-    Ok(fnv1a(json.as_bytes()))
+pub fn content_key(exp: &Experiment, run: &RunOptions) -> Result<u64, Infallible> {
+    Ok(hash_json(&(exp, run)))
 }
 
 /// Identity hash of a whole [`SweepSpec`](crate::SweepSpec): the same FNV-1a
 /// chain [`content_key`] uses, over the spec's canonical JSON. Shard
 /// documents and checkpoint logs carry it so results from *different* grids
 /// can never be merged or resumed into each other by accident.
-pub fn spec_hash(spec: &crate::SweepSpec) -> Result<u64, SweepError> {
-    let json = serde_json::to_string(spec).map_err(|e| SweepError::BadOptions {
-        reason: format!("unserializable sweep spec: {e:?}"),
-    })?;
-    Ok(fnv1a(json.as_bytes()))
+pub fn spec_hash(spec: &crate::SweepSpec) -> u64 {
+    hash_json(spec)
 }
 
-/// FNV-1a over `bytes` chained with [`KEY_SCHEMA_VERSION`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for byte in bytes.iter().chain(KEY_SCHEMA_VERSION.to_le_bytes().iter()) {
-        hash ^= *byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// FNV-1a over the compact JSON of `value`, chained with
+/// [`KEY_SCHEMA_VERSION`].
+fn hash_json<T: Serialize + ?Sized>(value: &T) -> u64 {
+    let mut hash = Fnv1a(FNV_OFFSET_BASIS);
+    serde::write_json(&mut hash, value, false);
+    hash.bytes(&KEY_SCHEMA_VERSION.to_le_bytes());
+    hash.0
+}
+
+/// A running FNV-1a hash that JSON text is written into.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    hash
+}
+
+impl serde::Output for Fnv1a {
+    fn push_str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
 }
 
 #[cfg(test)]
@@ -72,7 +91,7 @@ mod tests {
         for run in [RunOptions::default(), RunOptions::verified()] {
             assert_eq!(
                 content_key(&exp, &run).unwrap(),
-                crate::ResultCache::fingerprint(&exp, &run).unwrap()
+                crate::ResultCache::fingerprint(&exp, &run)
             );
         }
     }
@@ -85,8 +104,8 @@ mod tests {
             channels: vec![1, 2, 4],
             ..SweepSpec::paper_grid()
         };
-        assert_eq!(spec_hash(&a).unwrap(), spec_hash(&a).unwrap());
-        assert_ne!(spec_hash(&a).unwrap(), spec_hash(&b).unwrap());
+        assert_eq!(spec_hash(&a), spec_hash(&a));
+        assert_ne!(spec_hash(&a), spec_hash(&b));
     }
 
     /// Literal keys for the headline configuration under each kind of run.

@@ -45,23 +45,30 @@ impl ShardSweep {
     /// shard's deterministic export rows. Feed a complete set of these to
     /// [`merge_shards`] (or `mcm sweep --merge`).
     pub fn to_json(&self) -> String {
-        let mut shard = serde::Map::new();
-        shard.insert("index".to_string(), (self.index as u64).to_value());
-        shard.insert("of".to_string(), (self.of as u64).to_value());
-        shard.insert("total".to_string(), (self.total as u64).to_value());
-        shard.insert(
-            "spec_hash".to_string(),
-            serde::Value::String(format!("{:016x}", self.spec_hash)),
-        );
-        shard.insert(
-            "key_schema".to_string(),
-            (KEY_SCHEMA_VERSION as u64).to_value(),
-        );
-        let mut doc = serde::Map::new();
-        doc.insert("shard".to_string(), serde::Value::Object(shard));
-        doc.insert("rows".to_string(), self.result.export_rows().to_value());
-        serde_json::to_string_pretty(&serde::Value::Object(doc))
-            .expect("shard documents are serializable")
+        #[derive(Serialize)]
+        struct Header {
+            index: usize,
+            of: usize,
+            total: usize,
+            spec_hash: String,
+            key_schema: u32,
+        }
+        #[derive(Serialize)]
+        struct Document {
+            shard: Header,
+            rows: Vec<ExportRow>,
+        }
+        let doc = Document {
+            shard: Header {
+                index: self.index,
+                of: self.of,
+                total: self.total,
+                spec_hash: format!("{:016x}", self.spec_hash),
+                key_schema: KEY_SCHEMA_VERSION,
+            },
+            rows: self.result.export_rows(),
+        };
+        serde_json::to_string_pretty(&doc).expect("shard documents are serializable")
     }
 }
 
@@ -84,7 +91,7 @@ pub fn run_sweep_shard_on(
         index,
         of,
         total: spec.len(),
-        spec_hash: spec_hash(spec)?,
+        spec_hash: spec_hash(spec),
     })
 }
 
@@ -104,8 +111,8 @@ impl ShardDoc {
         let refuse = |reason: String| SweepError::Shard {
             reason: format!("{name}: {reason}"),
         };
-        let v: serde::Value = serde_json::from_str(text)
-            .map_err(|e| refuse(format!("not a JSON document: {e:?}")))?;
+        let v: serde::Value =
+            serde_json::from_str(text).map_err(|e| refuse(format!("not a JSON document: {e}")))?;
         let shard = v.get("shard").ok_or_else(|| {
             refuse(
                 "not a shard document (no `shard` header; \
@@ -128,7 +135,7 @@ impl ShardDoc {
             .get("rows")
             .ok_or_else(|| refuse("shard document has no `rows`".to_string()))?;
         let rows: Vec<ExportRow> =
-            Deserialize::from_value(rows).map_err(|e| refuse(format!("unreadable rows: {e:?}")))?;
+            Deserialize::from_value(rows).map_err(|e| refuse(format!("unreadable rows: {e}")))?;
         let key_schema = field("key_schema")?;
         Ok(ShardDoc {
             index: field("index")? as usize,
@@ -369,6 +376,23 @@ mod tests {
         assert!(e.to_string().contains("--shard"), "{e}");
         let e = merge_shards(&[("junk.json".to_string(), "nonsense".to_string())]).unwrap_err();
         assert!(matches!(e, SweepError::Shard { .. }));
+        // Parse errors read as their message, not as the error's `Debug`.
+        assert_eq!(
+            e.to_string(),
+            "bad shard: junk.json: not a JSON document: unexpected character `n` at byte 0"
+        );
+        let docs = shard_docs(2);
+        let mut v: serde::Value = serde_json::from_str(&docs[0].1).unwrap();
+        if let serde::Value::Object(doc) = &mut v {
+            doc.insert("rows", serde::to_value(&7u64));
+        }
+        let bad_rows = (docs[0].0.clone(), serde_json::to_string(&v).unwrap());
+        let e = merge_shards(&[bad_rows, docs[1].clone()]).unwrap_err();
+        assert!(
+            e.to_string().contains("unreadable rows: expected array"),
+            "{e}"
+        );
+        assert!(!e.to_string().contains("Error {"), "{e}");
     }
 
     #[test]
@@ -380,7 +404,7 @@ mod tests {
             let Some(serde::Value::Object(mut shard)) = doc.remove("shard") else {
                 panic!("shard doc has no header");
             };
-            shard.insert("key_schema", 4_294_967_297u64.to_value());
+            shard.insert("key_schema", serde::to_value(&4_294_967_297u64));
             doc.insert("shard", serde::Value::Object(shard));
         }
         let forged = (docs[1].0.clone(), serde_json::to_string(&v).unwrap());

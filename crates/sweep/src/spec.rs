@@ -85,22 +85,22 @@ impl Default for SweepSpec {
 }
 
 impl Serialize for SweepSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("points".to_string(), self.points.to_value());
-        m.insert("channels".to_string(), self.channels.to_value());
-        m.insert("clocks_mhz".to_string(), self.clocks_mhz.to_value());
-        m.insert("mappings".to_string(), self.mappings.to_value());
-        m.insert("page_policies".to_string(), self.page_policies.to_value());
-        m.insert("power_down".to_string(), self.power_down.to_value());
-        m.insert("chunks".to_string(), self.chunks.to_value());
-        m.insert("pacings".to_string(), self.pacings.to_value());
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("points", &self.points);
+        s.field("channels", &self.channels);
+        s.field("clocks_mhz", &self.clocks_mhz);
+        s.field("mappings", &self.mappings);
+        s.field("page_policies", &self.page_policies);
+        s.field("power_down", &self.power_down);
+        s.field("chunks", &self.chunks);
+        s.field("pacings", &self.pacings);
         // Always written (unlike `Experiment`'s elided default): spec JSON
         // is a user-facing document, and the axis must be discoverable.
-        m.insert("workloads".to_string(), self.workloads.to_value());
-        m.insert("faults".to_string(), self.faults.to_value());
-        m.insert("op_limit".to_string(), self.op_limit.to_value());
-        serde::Value::Object(m)
+        s.field("workloads", &self.workloads);
+        s.field("faults", &self.faults);
+        s.field("op_limit", &self.op_limit);
+        s.end_object();
     }
 }
 
