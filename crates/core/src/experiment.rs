@@ -154,26 +154,32 @@ impl Serialize for Experiment {
 }
 
 impl Deserialize for Experiment {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for Experiment"))?;
-        let field = |name: &str| {
-            obj.get(name)
-                .ok_or_else(|| serde::Error::missing_field(name))
-        };
+    fn deserialize<'de, D: serde::Deserializer<'de>>(src: &mut D) -> Result<Self, serde::Error> {
+        src.begin_object("expected object for Experiment")?;
+        let (mut use_case, mut memory, mut chunk, mut pacing) = (None, None, None, None);
+        let (mut margin, mut interface, mut op_limit, mut workload) = (None, None, None, None);
+        while let Some(key) = src.next_key()? {
+            match &*key {
+                "use_case" => use_case = Some(src.entry(Deserialize::deserialize)?),
+                "memory" => memory = Some(src.entry(Deserialize::deserialize)?),
+                "chunk" => chunk = Some(src.entry(Deserialize::deserialize)?),
+                "pacing" => pacing = Some(src.entry(Deserialize::deserialize)?),
+                "margin" => margin = Some(src.entry(Deserialize::deserialize)?),
+                "interface" => interface = Some(src.entry(Deserialize::deserialize)?),
+                "op_limit" => op_limit = Some(src.entry(Deserialize::deserialize)?),
+                "workload" => workload = Some(src.entry(Deserialize::deserialize)?),
+                _ => src.skip()?,
+            }
+        }
         Ok(Experiment {
-            use_case: Deserialize::from_value(field("use_case")?)?,
-            memory: Deserialize::from_value(field("memory")?)?,
-            chunk: Deserialize::from_value(field("chunk")?)?,
-            pacing: Deserialize::from_value(field("pacing")?)?,
-            margin: Deserialize::from_value(field("margin")?)?,
-            interface: Deserialize::from_value(field("interface")?)?,
-            op_limit: Deserialize::from_value(field("op_limit")?)?,
-            workload: match obj.get("workload") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => Workload::default(),
-            },
+            use_case: serde::field(use_case, "use_case")?,
+            memory: serde::field(memory, "memory")?,
+            chunk: serde::field(chunk, "chunk")?,
+            pacing: serde::field(pacing, "pacing")?,
+            margin: serde::field(margin, "margin")?,
+            interface: serde::field(interface, "interface")?,
+            op_limit: serde::field(op_limit, "op_limit")?,
+            workload: workload.unwrap_or(Ok(Workload::default()))?,
         })
     }
 }
@@ -261,22 +267,23 @@ impl Serialize for RunOptions {
 }
 
 impl Deserialize for RunOptions {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for RunOptions"))?;
-        let field = |name: &str| {
-            obj.get(name)
-                .ok_or_else(|| serde::Error::missing_field(name))
-        };
+    fn deserialize<'de, D: serde::Deserializer<'de>>(src: &mut D) -> Result<Self, serde::Error> {
+        src.begin_object("expected object for RunOptions")?;
+        let (mut verify, mut frames, mut op_limit, mut faults) = (None, None, None, None);
+        while let Some(key) = src.next_key()? {
+            match &*key {
+                "verify" => verify = Some(src.entry(Deserialize::deserialize)?),
+                "frames" => frames = Some(src.entry(Deserialize::deserialize)?),
+                "op_limit" => op_limit = Some(src.entry(Deserialize::deserialize)?),
+                "faults" => faults = Some(src.entry(Deserialize::deserialize)?),
+                _ => src.skip()?,
+            }
+        }
         Ok(RunOptions {
-            verify: Deserialize::from_value(field("verify")?)?,
-            frames: Deserialize::from_value(field("frames")?)?,
-            op_limit: Deserialize::from_value(field("op_limit")?)?,
-            faults: match obj.get("faults") {
-                Some(v) => Some(Deserialize::from_value(v)?),
-                None => None,
-            },
+            verify: serde::field(verify, "verify")?,
+            frames: serde::field(frames, "frames")?,
+            op_limit: serde::field(op_limit, "op_limit")?,
+            faults: faults.transpose()?,
             recorder: None,
         })
     }

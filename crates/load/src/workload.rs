@@ -24,7 +24,7 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::error::LoadError;
 use crate::model::{CodecModel, LoadModel, MultiTenantModel, StochasticModel, TableIModel};
@@ -220,11 +220,11 @@ impl Serialize for Workload {
 }
 
 impl Deserialize for Workload {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("workload must be a string"))?;
-        Workload::parse(s).map_err(serde::Error::custom)
+    fn deserialize<'de, D: serde::Deserializer<'de>>(src: &mut D) -> Result<Self, serde::Error> {
+        match src.token()? {
+            serde::Token::Str(s) => Workload::parse(&s).map_err(serde::Error::custom),
+            _ => Err(serde::Error::custom("workload must be a string")),
+        }
     }
 }
 
@@ -252,7 +252,7 @@ mod tests {
             assert_eq!(Workload::parse(&w.name()).unwrap(), w, "{w}");
             // Serde round-trip through the string form.
             let v = serde::to_value(&w);
-            assert_eq!(v, Value::String(w.name()));
+            assert_eq!(v, serde::Value::String(w.name()));
             assert_eq!(Workload::from_value(&v).unwrap(), w);
         }
     }

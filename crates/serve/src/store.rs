@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use mcm_sweep::{PointRecord, ResultCache, SweepError};
+use serde::{Deserialize, Serialize};
 
 /// One line of `index.jsonl`: a key and where it came from.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +34,14 @@ pub struct IndexEntry {
     pub label: String,
     /// How the key entered the store: `run` or `sweep`.
     pub kind: String,
+}
+
+/// One `index.jsonl` line as written: the key in 16 hex digits.
+#[derive(Serialize, Deserialize)]
+struct IndexLine {
+    key: String,
+    label: String,
+    kind: String,
 }
 
 /// The on-disk store: keyed records (via [`ResultCache`]), the key index,
@@ -64,23 +73,19 @@ impl ResultStore {
             for line in text.lines() {
                 // Corrupt lines are skipped, not fatal: the index is an
                 // accelerator over the records, never the records.
-                let Ok(v) = serde_json::from_str::<serde::Value>(line) else {
+                let Ok(line) = serde_json::from_str::<IndexLine>(line) else {
                     continue;
                 };
-                let key = v
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .and_then(|k| u64::from_str_radix(k, 16).ok());
-                let label = v.get("label").and_then(|l| l.as_str());
-                let kind = v.get("kind").and_then(|k| k.as_str());
-                if let (Some(key), Some(label), Some(kind)) = (key, label, kind) {
-                    if seen.insert(key) {
-                        index.push(IndexEntry {
-                            key,
-                            label: label.to_string(),
-                            kind: kind.to_string(),
-                        });
-                    }
+                let Ok(key) = u64::from_str_radix(&line.key, 16) else {
+                    continue;
+                };
+                // The first line for a key wins.
+                if seen.insert(key) {
+                    index.push(IndexEntry {
+                        key,
+                        label: line.label,
+                        kind: line.kind,
+                    });
                 }
             }
         }
@@ -122,16 +127,11 @@ impl ResultStore {
         if !seen.insert(key) {
             return;
         }
-        let entry = IndexEntry {
-            key,
+        let line = IndexLine {
+            key: format!("{key:016x}"),
             label: label.to_string(),
             kind: kind.to_string(),
         };
-        let line = serde_json::json!({
-            "key": format!("{key:016x}"),
-            "label": entry.label,
-            "kind": entry.kind
-        });
         if let Ok(mut f) = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -140,10 +140,14 @@ impl ResultStore {
             let _ = writeln!(
                 f,
                 "{}",
-                serde_json::to_string(&line).expect("a value tree always serializes")
+                serde_json::to_string(&line).expect("a line always serializes")
             );
         }
-        self.index.lock().expect("store lock poisoned").push(entry);
+        self.index.lock().expect("store lock poisoned").push(IndexEntry {
+            key,
+            label: line.label,
+            kind: line.kind,
+        });
     }
 
     /// The indexed history, oldest first.

@@ -59,6 +59,8 @@ mod exec;
 mod key;
 mod shard;
 mod spec;
+#[cfg(test)]
+mod reader_parity;
 
 pub use cache::ResultCache;
 pub use checkpoint::CheckpointLog;

@@ -97,7 +97,7 @@ pub fn run_sweep_shard_on(
 
 /// A parsed shard document (one `--shard i/n` output file).
 #[derive(Debug, Clone)]
-struct ShardDoc {
+pub(crate) struct ShardDoc {
     index: usize,
     of: usize,
     total: usize,
@@ -107,40 +107,35 @@ struct ShardDoc {
 }
 
 impl ShardDoc {
-    fn parse(name: &str, text: &str) -> Result<ShardDoc, SweepError> {
+    pub(crate) fn parse(name: &str, text: &str) -> Result<ShardDoc, SweepError> {
         let refuse = |reason: String| SweepError::Shard {
             reason: format!("{name}: {reason}"),
         };
-        let v: serde::Value =
+        let doc: ShardText =
             serde_json::from_str(text).map_err(|e| refuse(format!("not a JSON document: {e}")))?;
-        let shard = v.get("shard").ok_or_else(|| {
+        let shard = doc.shard.ok_or_else(|| {
             refuse(
                 "not a shard document (no `shard` header; \
                  was this written with --shard?)"
                     .to_string(),
             )
         })?;
-        let field = |name: &'static str| {
-            shard
-                .get(name)
-                .and_then(|f| f.as_u64())
-                .ok_or_else(|| refuse(format!("shard header has no `{name}`")))
+        let field = |value: Option<u64>, name: &'static str| {
+            value.ok_or_else(|| refuse(format!("shard header has no `{name}`")))
         };
         let spec_hash = shard
-            .get("spec_hash")
-            .and_then(|h| h.as_str())
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .spec_hash
+            .and_then(|h| u64::from_str_radix(&h, 16).ok())
             .ok_or_else(|| refuse("shard header has no `spec_hash`".to_string()))?;
-        let rows = v
-            .get("rows")
-            .ok_or_else(|| refuse("shard document has no `rows`".to_string()))?;
-        let rows: Vec<ExportRow> =
-            Deserialize::from_value(rows).map_err(|e| refuse(format!("unreadable rows: {e}")))?;
-        let key_schema = field("key_schema")?;
+        let rows = doc
+            .rows
+            .ok_or_else(|| refuse("shard document has no `rows`".to_string()))?
+            .map_err(|e| refuse(format!("unreadable rows: {e}")))?;
+        let key_schema = field(shard.key_schema, "key_schema")?;
         Ok(ShardDoc {
-            index: field("index")? as usize,
-            of: field("of")? as usize,
-            total: field("total")? as usize,
+            index: field(shard.index, "index")? as usize,
+            of: field(shard.of, "of")? as usize,
+            total: field(shard.total, "total")? as usize,
             spec_hash,
             key_schema: u32::try_from(key_schema).map_err(|_| {
                 refuse(format!(
@@ -154,6 +149,64 @@ impl ShardDoc {
     /// Points a grid of `total` assigns to shard `index` of `of`.
     fn expected_rows(&self) -> usize {
         (self.total / self.of) + usize::from(self.index < self.total % self.of)
+    }
+}
+
+/// A shard document as read, before its checks: the header (if any) and
+/// the rows (if any) with their read's outcome, so that each fault is
+/// reported in the document's own words. A text that is JSON but not an
+/// object has neither.
+#[derive(Default)]
+struct ShardText {
+    shard: Option<ShardHeader>,
+    rows: Option<Result<Vec<ExportRow>, serde::Error>>,
+}
+
+/// A shard header's keys: each `None` when absent or of another type. A
+/// header that is not an object has none of them.
+#[derive(Default)]
+struct ShardHeader {
+    index: Option<u64>,
+    of: Option<u64>,
+    total: Option<u64>,
+    spec_hash: Option<String>,
+    key_schema: Option<u64>,
+}
+
+impl Deserialize for ShardText {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(src: &mut D) -> Result<Self, serde::Error> {
+        let mut doc = ShardText::default();
+        if src.entry(|src| src.begin_object(""))?.is_err() {
+            return Ok(doc);
+        }
+        while let Some(key) = src.next_key()? {
+            match &*key {
+                "shard" => doc.shard = Some(ShardHeader::deserialize(src)?),
+                "rows" => doc.rows = Some(src.entry(Vec::deserialize)?),
+                _ => src.skip()?,
+            }
+        }
+        Ok(doc)
+    }
+}
+
+impl Deserialize for ShardHeader {
+    fn deserialize<'de, D: serde::Deserializer<'de>>(src: &mut D) -> Result<Self, serde::Error> {
+        let mut header = ShardHeader::default();
+        if src.entry(|src| src.begin_object(""))?.is_err() {
+            return Ok(header);
+        }
+        while let Some(key) = src.next_key()? {
+            match &*key {
+                "index" => header.index = src.entry(u64::deserialize)?.ok(),
+                "of" => header.of = src.entry(u64::deserialize)?.ok(),
+                "total" => header.total = src.entry(u64::deserialize)?.ok(),
+                "spec_hash" => header.spec_hash = src.entry(String::deserialize)?.ok(),
+                "key_schema" => header.key_schema = src.entry(u64::deserialize)?.ok(),
+                _ => src.skip()?,
+            }
+        }
+        Ok(header)
     }
 }
 

@@ -105,30 +105,40 @@ impl Serialize for SweepSpec {
 }
 
 impl Deserialize for SweepSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for SweepSpec"))?;
-        let field = |name: &str| {
-            obj.get(name)
-                .ok_or_else(|| serde::Error::missing_field(name))
-        };
+    fn deserialize<'de, D: serde::Deserializer<'de>>(src: &mut D) -> Result<Self, serde::Error> {
+        src.begin_object("expected object for SweepSpec")?;
+        let (mut points, mut channels, mut clocks_mhz, mut mappings) = (None, None, None, None);
+        let (mut page_policies, mut power_down, mut chunks, mut pacings) = (None, None, None, None);
+        let (mut workloads, mut faults, mut op_limit) = (None, None, None);
+        while let Some(key) = src.next_key()? {
+            match &*key {
+                "points" => points = Some(src.entry(Deserialize::deserialize)?),
+                "channels" => channels = Some(src.entry(Deserialize::deserialize)?),
+                "clocks_mhz" => clocks_mhz = Some(src.entry(Deserialize::deserialize)?),
+                "mappings" => mappings = Some(src.entry(Deserialize::deserialize)?),
+                "page_policies" => page_policies = Some(src.entry(Deserialize::deserialize)?),
+                "power_down" => power_down = Some(src.entry(Deserialize::deserialize)?),
+                "chunks" => chunks = Some(src.entry(Deserialize::deserialize)?),
+                "pacings" => pacings = Some(src.entry(Deserialize::deserialize)?),
+                "workloads" => workloads = Some(src.entry(Deserialize::deserialize)?),
+                "faults" => faults = Some(src.entry(Deserialize::deserialize)?),
+                "op_limit" => op_limit = Some(src.entry(Deserialize::deserialize)?),
+                _ => src.skip()?,
+            }
+        }
         Ok(SweepSpec {
-            points: Deserialize::from_value(field("points")?)?,
-            channels: Deserialize::from_value(field("channels")?)?,
-            clocks_mhz: Deserialize::from_value(field("clocks_mhz")?)?,
-            mappings: Deserialize::from_value(field("mappings")?)?,
-            page_policies: Deserialize::from_value(field("page_policies")?)?,
-            power_down: Deserialize::from_value(field("power_down")?)?,
-            chunks: Deserialize::from_value(field("chunks")?)?,
-            pacings: Deserialize::from_value(field("pacings")?)?,
+            points: serde::field(points, "points")?,
+            channels: serde::field(channels, "channels")?,
+            clocks_mhz: serde::field(clocks_mhz, "clocks_mhz")?,
+            mappings: serde::field(mappings, "mappings")?,
+            page_policies: serde::field(page_policies, "page_policies")?,
+            power_down: serde::field(power_down, "power_down")?,
+            chunks: serde::field(chunks, "chunks")?,
+            pacings: serde::field(pacings, "pacings")?,
             // Optional for specs written before the workload axis existed.
-            workloads: match obj.get("workloads") {
-                Some(v) => Deserialize::from_value(v)?,
-                None => vec![Workload::TableI],
-            },
-            faults: Deserialize::from_value(field("faults")?)?,
-            op_limit: Deserialize::from_value(field("op_limit")?)?,
+            workloads: workloads.unwrap_or_else(|| Ok(vec![Workload::TableI]))?,
+            faults: serde::field(faults, "faults")?,
+            op_limit: serde::field(op_limit, "op_limit")?,
         })
     }
 }
