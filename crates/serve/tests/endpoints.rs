@@ -249,6 +249,25 @@ fn deeply_nested_json_is_refused() {
     h.shutdown();
 }
 
+/// A body of 200 000 distinct keys (about 2.3 MB, under the body cap) is
+/// refused with a 400 well inside 5 s, and the server answers the next
+/// client: objects used to be built with a scan of every earlier key per
+/// key, so such a body took about a minute to parse.
+#[test]
+fn wide_objects_are_refused_in_linear_time() {
+    let h = Harness::start("wide", 1);
+    let keys: Vec<String> = (0..200_000).map(|i| format!("\"k{i}\":0")).collect();
+    let body = format!("{{{}}}", keys.join(","));
+    let start = std::time::Instant::now();
+    let reply = h.call("POST", "/runs", Some(&body));
+    let took = start.elapsed();
+    assert_eq!(reply.status, 400, "{:?}", reply.body);
+    assert!(took.as_secs_f64() < 5.0, "200 000 keys took {took:?}");
+    assert_eq!(h.call("GET", "/healthz", None).status, 200);
+    assert_eq!(h.simulated_points(), 0, "a refused body queues nothing");
+    h.shutdown();
+}
+
 /// A 64 KiB request line with no newline, on a connection the client keeps
 /// open: the server refuses it as soon as the 16 KiB header cap is crossed
 /// instead of waiting out its 10 s read timeout, and serves the next

@@ -41,7 +41,7 @@ impl Rng {
     }
 }
 
-/// The `k`-th mutation of `doc` (seeded by `seed`): one byte replaced,
+/// The mutations of `doc` (seeded by `seed`), each one byte replaced,
 /// deleted or inserted. Every document and every alphabet byte is ASCII,
 /// so each mutation is still UTF-8.
 fn mutations(doc: &str, seed: u64) -> Vec<String> {
