@@ -143,11 +143,14 @@ impl ResultStore {
                 serde_json::to_string(&line).expect("a line always serializes")
             );
         }
-        self.index.lock().expect("store lock poisoned").push(IndexEntry {
-            key,
-            label: line.label,
-            kind: line.kind,
-        });
+        self.index
+            .lock()
+            .expect("store lock poisoned")
+            .push(IndexEntry {
+                key,
+                label: line.label,
+                kind: line.kind,
+            });
     }
 
     /// The indexed history, oldest first.

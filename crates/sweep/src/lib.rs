@@ -57,10 +57,10 @@ mod engine;
 mod error;
 mod exec;
 mod key;
-mod shard;
-mod spec;
 #[cfg(test)]
 mod reader_parity;
+mod shard;
+mod spec;
 
 pub use cache::ResultCache;
 pub use checkpoint::CheckpointLog;

@@ -152,5 +152,8 @@ fn mutated_documents_read_as_recorded() {
         table.push_str(&format!("    ({name:?}, {refused}, {digest:#018x}),\n"));
         got.push((*name, refused, digest));
     }
-    assert_eq!(got, RECORDED, "outcomes differ; this reader's table:\n{table}");
+    assert_eq!(
+        got, RECORDED,
+        "outcomes differ; this reader's table:\n{table}"
+    );
 }

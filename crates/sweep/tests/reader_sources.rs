@@ -41,8 +41,30 @@ const RECORDS: [&str; 3] = [
 /// Bytes and characters a mutation writes: JSON punctuation, digits,
 /// keyword letters, escapes, whitespace and multi-byte characters.
 const PIECES: [&str; 24] = [
-    "{", "}", "[", "]", ":", ",", "\"", "\\", " ", "\n", "0", "7", "-", ".", "e", "null", "true",
-    "u", "\\u00e9", "\\ud83d\\ude00", "é", "😀", "\"a\":1,", "1e400",
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    " ",
+    "\n",
+    "0",
+    "7",
+    "-",
+    ".",
+    "e",
+    "null",
+    "true",
+    "u",
+    "\\u00e9",
+    "\\ud83d\\ude00",
+    "é",
+    "😀",
+    "\"a\":1,",
+    "1e400",
 ];
 
 proptest! {
