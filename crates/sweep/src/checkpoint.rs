@@ -50,54 +50,31 @@ impl Header {
     }
 
     pub(crate) fn from_json(line: &str) -> Result<Header, String> {
-        let line: HeaderLine =
+        let v: serde::Value =
             serde_json::from_str(line).map_err(|e| format!("header is not JSON: {e}"))?;
-        if line.marker != Some(1) {
+        if v.get("mcm_checkpoint").and_then(|m| m.as_u64()) != Some(1) {
             return Err("not a checkpoint log (missing `mcm_checkpoint` marker)".to_string());
         }
-        let spec_hash = line
-            .spec_hash
-            .and_then(|h| u64::from_str_radix(&h, 16).ok())
+        let spec_hash = v
+            .get("spec_hash")
+            .and_then(|h| h.as_str())
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
             .ok_or("header has no `spec_hash`")?;
-        let key_schema = line.key_schema.ok_or("header has no `key_schema`")?;
+        let key_schema = v
+            .get("key_schema")
+            .and_then(|k| k.as_u64())
+            .ok_or("header has no `key_schema`")?;
         let key_schema = u32::try_from(key_schema)
             .map_err(|_| format!("header `key_schema` = {key_schema} is out of range"))?;
-        let total = line.total.ok_or("header has no `total`")? as usize;
+        let total = v
+            .get("total")
+            .and_then(|t| t.as_u64())
+            .ok_or("header has no `total`")? as usize;
         Ok(Header {
             spec_hash,
             key_schema,
             total,
         })
-    }
-}
-
-/// A header line's keys as read: each `None` when absent or of another
-/// type, so that [`Header::from_json`] can name what is missing. A line
-/// that is JSON but not an object has none of them.
-#[derive(Default)]
-struct HeaderLine {
-    marker: Option<u64>,
-    spec_hash: Option<String>,
-    key_schema: Option<u64>,
-    total: Option<u64>,
-}
-
-impl Deserialize for HeaderLine {
-    fn deserialize<'de, D: serde::Deserializer<'de>>(src: &mut D) -> Result<Self, serde::Error> {
-        let mut line = HeaderLine::default();
-        if src.entry(|src| src.begin_object(""))?.is_err() {
-            return Ok(line);
-        }
-        while let Some(key) = src.next_key()? {
-            match &*key {
-                "mcm_checkpoint" => line.marker = src.entry(u64::deserialize)?.ok(),
-                "spec_hash" => line.spec_hash = src.entry(String::deserialize)?.ok(),
-                "key_schema" => line.key_schema = src.entry(u64::deserialize)?.ok(),
-                "total" => line.total = src.entry(u64::deserialize)?.ok(),
-                _ => src.skip()?,
-            }
-        }
-        Ok(line)
     }
 }
 
